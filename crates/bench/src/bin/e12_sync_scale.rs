@@ -203,15 +203,15 @@ fn legacy_generate(set: &CrdtSet, peer: &SetClock) -> SetSyncMessage {
         })
         .filter(|(_, cs)| !cs.is_empty())
         .collect();
-    SetSyncMessage {
-        sender: set.actor(),
-        ack: set.clock(),
-        changes: SetChanges {
+    SetSyncMessage::new(
+        set.actor(),
+        set.clock(),
+        SetChanges {
             tables,
             files: filter(full.files, &peer.files),
             globals: filter(full.globals, &peer.globals),
         },
-    }
+    )
 }
 
 struct ModeStats {
@@ -277,7 +277,9 @@ fn run_mode(mode: Mode, rounds: usize, per_edge: usize) -> ModeStats {
             if !msg.changes.is_empty() {
                 wire_bytes += msg.wire_size();
             }
-            cloud_eps[i].receive_owned(&mut cloud_set, &mut cloud_server, msg);
+            cloud_eps[i]
+                .receive_owned(&mut cloud_set, &mut cloud_server, msg)
+                .expect("kv is bound on every replica");
             let msg = match mode {
                 Mode::IndexedCompacted => cloud_eps[i].generate(&cloud_set),
                 Mode::LegacyScan => legacy_generate(&cloud_set, &cloud_eps[i].peer_clock),
@@ -286,7 +288,8 @@ fn run_mode(mode: Mode, rounds: usize, per_edge: usize) -> ModeStats {
                 wire_bytes += msg.wire_size();
             }
             edge.to_cloud
-                .receive_owned(&mut edge.set, &mut edge.server, msg);
+                .receive_owned(&mut edge.set, &mut edge.server, msg)
+                .expect("kv is bound on every replica");
         }
         if mode == Mode::IndexedCompacted {
             let mut frontier = cloud_eps[0].peer_clock.clone();
@@ -306,10 +309,13 @@ fn run_mode(mode: Mode, rounds: usize, per_edge: usize) -> ModeStats {
     for _ in 0..2 {
         for (i, edge) in edges.iter_mut().enumerate() {
             let msg = edge.to_cloud.generate(&edge.set);
-            cloud_eps[i].receive_owned(&mut cloud_set, &mut cloud_server, msg);
+            cloud_eps[i]
+                .receive_owned(&mut cloud_set, &mut cloud_server, msg)
+                .expect("kv is bound on every replica");
             let msg = cloud_eps[i].generate(&cloud_set);
             edge.to_cloud
-                .receive_owned(&mut edge.set, &mut edge.server, msg);
+                .receive_owned(&mut edge.set, &mut edge.server, msg)
+                .expect("kv is bound on every replica");
         }
     }
     let final_kv = cloud_set.tables["kv"].to_json();

@@ -49,6 +49,11 @@ impl CrdtFiles {
         self.doc.clock()
     }
 
+    /// The compaction frontier (see [`Doc::snapshot_clock`]).
+    pub fn snapshot_clock(&self) -> &VClock {
+        self.doc.snapshot_clock()
+    }
+
     /// Write (create or overwrite) a file.
     ///
     /// # Errors

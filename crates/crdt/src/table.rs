@@ -61,6 +61,11 @@ impl CrdtTable {
         self.doc.clock()
     }
 
+    /// The compaction frontier (see [`Doc::snapshot_clock`]).
+    pub fn snapshot_clock(&self) -> &VClock {
+        self.doc.snapshot_clock()
+    }
+
     /// Insert or overwrite the row at `pk`.
     ///
     /// # Errors

@@ -11,7 +11,7 @@ use crate::cache::UnitVersions;
 use edgstr_analysis::{HandleOutcome, InitState, ServerProcess};
 use edgstr_core::CrdtBindings;
 use edgstr_crdt::{ActorId, AdvanceMode, Change, CrdtFiles, CrdtTable, Doc, PathSeg, VClock};
-use edgstr_sql::RowEffect;
+use edgstr_sql::{RowEffect, SqlError};
 use serde_json::Value as Json;
 use std::collections::BTreeMap;
 
@@ -248,15 +248,34 @@ impl CrdtSet {
     /// Apply remote changes to the CRDTs and materialize the merged state
     /// into the server (database rows, file contents, global values).
     /// Returns the number of changes applied.
-    pub fn apply_remote(&mut self, changes: &SetChanges, server: &mut ServerProcess) -> usize {
+    ///
+    /// # Errors
+    ///
+    /// Returns the first [`SqlError`] met while materializing a touched
+    /// table (a bound table the server's database lacks). The CRDT merge
+    /// and every other unit's materialization still complete.
+    pub fn apply_remote(
+        &mut self,
+        changes: &SetChanges,
+        server: &mut ServerProcess,
+    ) -> Result<usize, SqlError> {
         self.apply_remote_owned(changes.clone(), server)
     }
 
     /// Consuming variant of [`CrdtSet::apply_remote`] — the runtime sync
     /// daemon's hot path, which would otherwise clone every delta each
     /// round.
-    pub fn apply_remote_owned(&mut self, changes: SetChanges, server: &mut ServerProcess) -> usize {
+    ///
+    /// # Errors
+    ///
+    /// As for [`CrdtSet::apply_remote`].
+    pub fn apply_remote_owned(
+        &mut self,
+        changes: SetChanges,
+        server: &mut ServerProcess,
+    ) -> Result<usize, SqlError> {
         let mut applied = 0;
+        let mut failed = Ok(());
         for (name, cs) in changes.tables {
             if let Some(t) = self.tables.get_mut(&name) {
                 let (n, touch) = t.apply_changes_owned_tracked(cs).expect("table CRDT apply");
@@ -270,7 +289,7 @@ impl CrdtSet {
                 }
                 // materialize merged rows into the SQL engine
                 let rows: Vec<Json> = t.rows().into_iter().map(|(_, row)| row).collect();
-                let _ = server.db.replace_table_rows(&name, &rows);
+                failed = failed.and(server.db.replace_table_rows(&name, &rows));
             }
         }
         if !changes.files.is_empty() {
@@ -303,19 +322,46 @@ impl CrdtSet {
             }
             self.materialize_globals(server);
         }
-        applied
+        failed.map(|()| applied)
     }
 
     /// Push the full merged CRDT state into `server` — used when a
     /// restarted replica is provisioned from a [`CrdtSet::save`] payload
     /// rather than by replaying changes.
-    pub fn materialize_all(&self, server: &mut ServerProcess) {
+    ///
+    /// # Errors
+    ///
+    /// Returns the first [`SqlError`] met while materializing a bound
+    /// table; every other unit is still materialized.
+    pub fn materialize_all(&self, server: &mut ServerProcess) -> Result<(), SqlError> {
+        let mut failed = Ok(());
         for (name, t) in &self.tables {
             let rows: Vec<Json> = t.rows().into_iter().map(|(_, row)| row).collect();
-            let _ = server.db.replace_table_rows(name, &rows);
+            failed = failed.and(server.db.replace_table_rows(name, &rows));
         }
         self.materialize_files(server);
         self.materialize_globals(server);
+        failed
+    }
+
+    /// Merge changes into the CRDTs alone, without a server to materialize
+    /// into or versions to bump — replaying a durable log. Changes for
+    /// tables this set does not bind are skipped, as in
+    /// [`CrdtSet::apply_remote`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`edgstr_crdt::CrdtError`] on a malformed change.
+    pub fn merge_changes(&mut self, changes: SetChanges) -> Result<usize, edgstr_crdt::CrdtError> {
+        let mut applied = 0;
+        for (name, cs) in changes.tables {
+            if let Some(t) = self.tables.get_mut(&name) {
+                applied += t.apply_changes_owned(cs)?;
+            }
+        }
+        applied += self.files.apply_changes_owned(changes.files)?;
+        applied += self.globals.apply_changes_owned(changes.globals)?;
+        Ok(applied)
     }
 
     fn materialize_files(&self, server: &mut ServerProcess) {
@@ -346,6 +392,20 @@ impl CrdtSet {
             .sum::<usize>()
             + self.files.history_len()
             + self.globals.history_len()
+    }
+
+    /// The compaction frontier across all structures: everything at or
+    /// below it has been folded into the snapshots by [`CrdtSet::compact`].
+    pub fn snapshot_clock(&self) -> SetClock {
+        SetClock {
+            tables: self
+                .tables
+                .iter()
+                .map(|(n, t)| (n.clone(), t.snapshot_clock().clone()))
+                .collect(),
+            files: self.files.snapshot_clock().clone(),
+            globals: self.globals.snapshot_clock().clone(),
+        }
     }
 
     /// Fold acked history at or below `frontier` (normally the
@@ -428,22 +488,42 @@ impl CrdtSet {
 /// One `cloud_state` / `edge_state` sync envelope (Fig. 5b): the delta
 /// batch plus the sender's full clock, which doubles as a cumulative
 /// acknowledgment of everything the sender has applied.
+///
+/// The delta's wire size is measured once, when [`SetSyncMessage::new`]
+/// builds the message: sizing serializes every change, and the sender,
+/// the traffic accounting and the receiver all ask for it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SetSyncMessage {
     /// The replica that produced this message.
     pub sender: ActorId,
     /// The sender's clock across all structures — acknowledges every
     /// change the sender has locally applied, including changes it
-    /// received from the destination.
+    /// received from the destination. May be lowered (capped) after
+    /// construction; [`SetSyncMessage::wire_size`] prices it live.
     pub ack: SetClock,
-    /// Changes the sender believes the destination is missing.
+    /// Changes the sender believes the destination is missing. Read-only
+    /// after construction: the delta's size is fixed when the message is
+    /// built.
     pub changes: SetChanges,
+    /// [`SetChanges::wire_size`] of `changes`, measured at construction.
+    changes_bytes: usize,
 }
 
 impl SetSyncMessage {
+    /// Build a message, sizing its delta once.
+    pub fn new(sender: ActorId, ack: SetClock, changes: SetChanges) -> Self {
+        let changes_bytes = changes.wire_size();
+        SetSyncMessage {
+            sender,
+            ack,
+            changes,
+            changes_bytes,
+        }
+    }
+
     /// Bytes this message costs on the WAN (envelope + ack clock + delta).
     pub fn wire_size(&self) -> usize {
-        16 + self.ack.wire_size() + self.changes.wire_size()
+        16 + self.ack.wire_size() + self.changes_bytes
     }
 }
 
@@ -490,12 +570,7 @@ impl SyncEndpoint {
 
     /// Build the next outgoing sync message for the peer.
     pub fn generate(&mut self, set: &CrdtSet) -> SetSyncMessage {
-        let changes = set.get_changes(&self.peer_clock);
-        let msg = SetSyncMessage {
-            sender: set.actor(),
-            ack: set.clock(),
-            changes,
-        };
+        let msg = SetSyncMessage::new(set.actor(), set.clock(), set.get_changes(&self.peer_clock));
         if !msg.changes.is_empty() {
             self.bytes_sent += msg.wire_size();
             self.messages += 1;
@@ -522,23 +597,32 @@ impl SyncEndpoint {
     /// message's ack clock tells us exactly what the peer has applied —
     /// including our own earlier deltas — so this is where `peer_clock`
     /// actually advances.
+    ///
+    /// # Errors
+    ///
+    /// Materialization failures from [`CrdtSet::apply_remote`]; the
+    /// message is still fully received and merged.
     pub fn receive(
         &mut self,
         set: &mut CrdtSet,
         server: &mut ServerProcess,
         msg: &SetSyncMessage,
-    ) -> usize {
+    ) -> Result<usize, SqlError> {
         self.receive_owned(set, server, msg.clone())
     }
 
     /// Consuming variant of [`SyncEndpoint::receive`]: the sync daemon
     /// hands the message over so its delta is applied without cloning.
+    ///
+    /// # Errors
+    ///
+    /// As for [`SyncEndpoint::receive`].
     pub fn receive_owned(
         &mut self,
         set: &mut CrdtSet,
         server: &mut ServerProcess,
         msg: SetSyncMessage,
-    ) -> usize {
+    ) -> Result<usize, SqlError> {
         self.bytes_received += msg.wire_size();
         if !msg.changes.is_empty() {
             self.messages += 1;
@@ -617,7 +701,9 @@ mod tests {
         let msg = edge_to_cloud.generate(&edge_set);
         assert!(!msg.changes.is_empty());
         assert!(msg.wire_size() > 0);
-        cloud_from_edge.receive(&mut cloud_set, &mut cloud, &msg);
+        cloud_from_edge
+            .receive(&mut cloud_set, &mut cloud, &msg)
+            .unwrap();
 
         // the cloud now serves the edge-written row
         let got = cloud
@@ -659,9 +745,9 @@ mod tests {
         // exchange deltas both ways, twice (to propagate acks)
         for _ in 0..2 {
             let d1 = c2e.generate(&cloud_set);
-            e2c.receive(&mut edge_set, &mut edge, &d1);
+            e2c.receive(&mut edge_set, &mut edge, &d1).unwrap();
             let d2 = e2c.generate(&edge_set);
-            c2e.receive(&mut cloud_set, &mut cloud, &d2);
+            c2e.receive(&mut cloud_set, &mut cloud, &d2).unwrap();
         }
         assert_eq!(
             cloud_set.tables["kv"].to_json(),
@@ -697,10 +783,10 @@ mod tests {
             edge_set.absorb_outcome(&out, &edge);
             let msg = e2c.generate(&edge_set);
             sizes.push(msg.wire_size());
-            c_recv.receive(&mut cloud_set, &mut cloud, &msg);
+            c_recv.receive(&mut cloud_set, &mut cloud, &msg).unwrap();
             // the cloud's reply carries its ack, advancing the edge's view
             let ack = c_recv.generate(&cloud_set);
-            e2c.receive(&mut edge_set, &mut edge, &ack);
+            e2c.receive(&mut edge_set, &mut edge, &ack).unwrap();
         }
         // deltas stay roughly constant instead of growing with history
         assert!(sizes[2] < sizes[0] * 3);
@@ -724,7 +810,7 @@ mod tests {
             .unwrap();
         edge_set.absorb_outcome(&out, &edge);
         let delta = e2c.generate(&edge_set);
-        c_recv.receive(&mut cloud_set, &mut cloud, &delta);
+        c_recv.receive(&mut cloud_set, &mut cloud, &delta).unwrap();
         assert_eq!(cloud.fs.peek("/latest.txt"), Some(&b"zzz"[..]));
     }
 
@@ -773,9 +859,9 @@ mod tests {
         // two full rounds so both sides' acks cover everything
         for _ in 0..2 {
             let up = e2c.generate(&edge_set);
-            c2e.receive_owned(&mut cloud_set, &mut cloud, up);
+            c2e.receive_owned(&mut cloud_set, &mut cloud, up).unwrap();
             let down = c2e.generate(&cloud_set);
-            e2c.receive_owned(&mut edge_set, &mut edge, down);
+            e2c.receive_owned(&mut edge_set, &mut edge, down).unwrap();
         }
         assert!(cloud_set.history_len() > 0);
         // the cloud's only peer is the edge: frontier = own clock ⊓ peer ack
@@ -793,7 +879,7 @@ mod tests {
             .unwrap();
         cloud_set.absorb_outcome(&out, &cloud);
         let down = c2e.generate(&cloud_set);
-        e2c.receive_owned(&mut edge_set, &mut edge, down);
+        e2c.receive_owned(&mut edge_set, &mut edge, down).unwrap();
         assert_eq!(
             cloud_set.tables["kv"].to_json(),
             edge_set.tables["kv"].to_json()
@@ -825,7 +911,7 @@ mod tests {
         fresh.init().unwrap();
         init.restore(&mut fresh);
         let restored = CrdtSet::load(ActorId(9), &bindings(), &bytes).unwrap();
-        restored.materialize_all(&mut fresh);
+        restored.materialize_all(&mut fresh).unwrap();
         assert_eq!(
             restored.tables["kv"].to_json(),
             cloud_set.tables["kv"].to_json()
@@ -857,11 +943,72 @@ mod tests {
         let up = r2c.generate(&restored);
         // one table row + one file write + one global update — no history
         assert_eq!(up.changes.len(), 3, "only the new delta travels");
-        c2r.receive_owned(&mut cloud_set, &mut cloud, up);
+        c2r.receive_owned(&mut cloud_set, &mut cloud, up).unwrap();
         assert_eq!(
             cloud_set.tables["kv"].to_json(),
             restored.tables["kv"].to_json()
         );
+    }
+
+    /// A bound table the server's database lacks cannot be materialized:
+    /// the failure is reported to the caller, while the CRDT merge and
+    /// every other unit still go through.
+    #[test]
+    fn missing_bound_table_is_reported_not_swallowed() {
+        let init = init_state();
+        let with_ghost = CrdtBindings::from_units([
+            StateUnit::DbTable("kv".into()),
+            StateUnit::DbTable("ghost".into()),
+        ]);
+        let mut cloud_set = CrdtSet::initialize(ActorId(1), &with_ghost, &init);
+        let (mut edge, _) = make_node(2, &init);
+        let mut edge_set = CrdtSet::initialize(ActorId(2), &with_ghost, &init);
+        let tables = &mut cloud_set.tables;
+        tables
+            .get_mut("ghost")
+            .unwrap()
+            .upsert_row("g", &json!({"k": "g"}))
+            .unwrap();
+        tables
+            .get_mut("kv")
+            .unwrap()
+            .upsert_row("a", &json!({"k": "a", "v": 1}))
+            .unwrap();
+        let msg = SyncEndpoint::new().generate(&cloud_set);
+        let err = SyncEndpoint::new()
+            .receive(&mut edge_set, &mut edge, &msg)
+            .unwrap_err();
+        assert_eq!(err, SqlError::NoSuchTable("ghost".into()));
+        assert_eq!(edge_set.clock(), cloud_set.clock(), "the merge completed");
+        let got = edge
+            .handle(&HttpRequest::get("/get", json!({"k": "a"})))
+            .unwrap();
+        assert_eq!(got.response.body[0]["v"], json!(1), "kv still materialized");
+        assert_eq!(
+            edge_set.materialize_all(&mut edge),
+            Err(SqlError::NoSuchTable("ghost".into()))
+        );
+    }
+
+    /// The delta is sized once at construction; a capped ack is still
+    /// priced live, so the total matches sizing from scratch.
+    #[test]
+    fn message_size_is_measured_once_and_tracks_the_ack() {
+        let init = init_state();
+        let (mut edge, mut edge_set) = make_node(2, &init);
+        let out = edge
+            .handle(&HttpRequest::post(
+                "/put",
+                json!({"k": "x", "v": 1}),
+                vec![],
+            ))
+            .unwrap();
+        edge_set.absorb_outcome(&out, &edge);
+        let mut msg = SyncEndpoint::new().generate(&edge_set);
+        let fresh = |m: &SetSyncMessage| 16 + m.ack.wire_size() + m.changes.wire_size();
+        assert_eq!(msg.wire_size(), fresh(&msg));
+        msg.ack = msg.ack.meet(&SetClock::default());
+        assert_eq!(msg.wire_size(), fresh(&msg));
     }
 }
 
@@ -928,9 +1075,9 @@ mod partition_tests {
         let mut e2c = SyncEndpoint::new();
         let mut c2e = SyncEndpoint::new();
         let up = e2c.generate(&edge_set);
-        c2e.receive(&mut cloud_set, &mut cloud, &up);
+        c2e.receive(&mut cloud_set, &mut cloud, &up).unwrap();
         let down = c2e.generate(&cloud_set);
-        e2c.receive(&mut edge_set, &mut edge, &down);
+        e2c.receive(&mut edge_set, &mut edge, &down).unwrap();
 
         assert_eq!(cloud_set.tables["log"].len(), 30);
         assert_eq!(
@@ -984,14 +1131,14 @@ mod partition_tests {
         // regenerates exactly the same changes
         let retry = e2c.generate(&edge_set);
         assert_eq!(retry.changes, lost.changes, "delta must be regenerated");
-        c2e.receive(&mut cloud_set, &mut cloud, &retry);
+        c2e.receive(&mut cloud_set, &mut cloud, &retry).unwrap();
         assert_eq!(cloud_set.tables["log"].len(), 1);
         // the original message finally arrives late: idempotent
-        c2e.receive(&mut cloud_set, &mut cloud, &lost);
+        c2e.receive(&mut cloud_set, &mut cloud, &lost).unwrap();
         assert_eq!(cloud_set.tables["log"].len(), 1);
         // the cloud's ack reaches the edge; nothing further to send
         let ack = c2e.generate(&cloud_set);
-        e2c.receive(&mut edge_set, &mut edge, &ack);
+        e2c.receive(&mut edge_set, &mut edge, &ack).unwrap();
         assert!(e2c.generate(&edge_set).changes.is_empty());
     }
 
@@ -1031,9 +1178,9 @@ mod partition_tests {
         for _ in 0..5 {
             let up = e2c.generate(&edge_set);
             assert!(up.changes.is_empty(), "optimistic endpoint never retries");
-            c2e.receive(&mut cloud_set, &mut cloud, &up);
+            c2e.receive(&mut cloud_set, &mut cloud, &up).unwrap();
             let down = c2e.generate(&cloud_set);
-            e2c.receive(&mut edge_set, &mut edge, &down);
+            e2c.receive(&mut edge_set, &mut edge, &down).unwrap();
         }
         assert_eq!(cloud_set.tables["log"].len(), 0, "cloud never sees the row");
         assert_ne!(

@@ -13,12 +13,15 @@
 //! - [`TwoTierSystem`] / [`ThreeTierSystem`] — virtual-time drivers for
 //!   the original client-cloud deployment and the EdgStr-generated
 //!   client-edge-cloud deployment, including failure forwarding to the
-//!   cloud master.
+//!   cloud master;
+//! - [`DurableLog`] — the cloud master's O(delta) durable log (base image
+//!   plus append-only delta records), the standby-less recovery source.
 
 pub mod balancer;
 pub mod cache;
 pub mod crdtset;
 pub mod driver;
+pub mod durable;
 pub mod parallel;
 pub mod system;
 pub mod tiering;
@@ -30,6 +33,7 @@ pub use cache::{
 };
 pub use crdtset::{CrdtSet, SetChanges, SetClock, SetSyncMessage, SyncEndpoint};
 pub use driver::{FaultPolicy, MobilePower, RunRecorder, RunStats, TimedRequest, Workload};
+pub use durable::DurableLog;
 pub use parallel::{ParallelOptions, ParallelRunStats, ParallelSystem, ReplicaSeed, FAILED_DIGEST};
 pub use system::{
     BitFlipCorruptor, EdgeReplica, HaPolicy, HaStats, QuarantinePolicy, ThreeTierOptions,

@@ -437,7 +437,9 @@ impl ParallelSystem {
                         .collect();
                     let mut received = 0usize;
                     while let Ok(delta) = delta_rx.recv() {
-                        endpoints[delta.replica].receive_owned(&mut crdts, &mut server, delta.msg);
+                        endpoints[delta.replica]
+                            .receive_owned(&mut crdts, &mut server, delta.msg)
+                            .expect("replicated tables exist on the cloud");
                         received += 1;
                     }
                     // every worker dropped its sender: all deltas are in.
@@ -550,11 +552,10 @@ impl ParallelSystem {
                         drop(delta_tx); // cloud's recv loop ends when all workers flush
                         while let Ok((r, msg)) = back.recv() {
                             let replica = replicas.get_mut(&r).expect("statically owned replica");
-                            replica.to_cloud.receive_owned(
-                                &mut replica.crdts,
-                                &mut replica.server,
-                                msg,
-                            );
+                            replica
+                                .to_cloud
+                                .receive_owned(&mut replica.crdts, &mut replica.server, msg)
+                                .expect("replicated tables exist on every replica");
                         }
                         for (&r, replica) in replicas.iter() {
                             outcome.state_digests.push((

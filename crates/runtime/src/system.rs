@@ -14,6 +14,7 @@ use crate::cache::{
 use crate::crdtset::{CrdtSet, SetChanges, SetClock, SyncEndpoint};
 use crate::driver::RunRecorder;
 pub use crate::driver::{FaultPolicy, MobilePower, RunStats, TimedRequest, Workload};
+use crate::durable::DurableLog;
 use crate::tiering::{
     PendingTransition, PlacementMode, PlacementStats, ScriptedDecision, TransitionBarrier,
     TransitionRecord,
@@ -30,6 +31,7 @@ use edgstr_net::{
 };
 use edgstr_placement::{Observation, Placement, PlacementController, StaticSignals};
 use edgstr_sim::{Clock, DetRng, Device, DeviceSpec, PowerState, SimDuration, SimTime};
+use edgstr_sql::SqlError;
 use edgstr_telemetry::{Counter, SpanId, StmtProfiler, Telemetry, Tier};
 use serde_json::Value as Json;
 use std::cell::RefCell;
@@ -158,6 +160,21 @@ fn build_shadow(program: &Program, init: &InitState) -> Result<ServerProcess, Se
     Ok(shadow)
 }
 
+/// Unwrap a materialization result. A failure means a bound table is
+/// missing from a server's database: the CRDT merge behind it completed,
+/// but the server cannot show the merged rows. That is a deployment bug,
+/// so debug builds stop on it; release builds count it in
+/// `edgstr_materialize_errors_total` and carry on.
+fn materialized<T: Default>(telemetry: &Telemetry, result: Result<T, SqlError>) -> T {
+    result.unwrap_or_else(|e| {
+        if let Some(reg) = telemetry.registry() {
+            reg.counter("edgstr_materialize_errors_total", &[]).inc();
+        }
+        debug_assert!(false, "materialization failed: {e}");
+        T::default()
+    })
+}
+
 /// Verb/path attributes for a request span, built once so the span opens
 /// with them in a single trace-log borrow (enabled mode only — callers
 /// guard with [`Telemetry::is_enabled`] to keep the disabled path
@@ -181,7 +198,7 @@ fn request_attrs(request: &HttpRequest) -> Vec<(&'static str, Json)> {
 /// monitor promotes the standby `detect_delay` after a master crash.
 /// `ack_capping` is the zero-acked-write-loss mechanism: acknowledgment
 /// clocks sent to the edges are capped at the durability frontier (what
-/// the standby — or the last durable save image — provably holds), so no
+/// the standby — or the durable log — provably holds), so no
 /// replica ever compacts state the failover target could be missing.
 #[derive(Debug, Clone)]
 pub struct HaPolicy {
@@ -189,9 +206,12 @@ pub struct HaPolicy {
     pub standby: bool,
     /// Health-monitor detection delay between master crash and promotion.
     pub detect_delay: SimDuration,
-    /// Persist a durable save image of the master after every sync round
-    /// and every forwarded write (the recovery source when no standby is
-    /// configured).
+    /// Keep a durable log of the master (the recovery source when no
+    /// standby is configured): a base image plus one append-only delta
+    /// record per sync round and per forwarded write, each holding only
+    /// what the master gained since the previous record. The log rebases
+    /// onto a fresh image once its records outgrow the base, so
+    /// persisting costs O(delta) amortized (see [`DurableLog`]).
     pub durable_saves: bool,
     /// Cap acks at the durability frontier. Disabling this is the unsafe
     /// ablation: acked writes can vanish when the master dies.
@@ -247,7 +267,7 @@ pub struct HaStats {
     pub master_crashes: u32,
     /// Standby promotions performed.
     pub failovers: u32,
-    /// Master recoveries from a durable save image (no standby).
+    /// Master recoveries from the durable log (no standby).
     pub durable_recoveries: u32,
     /// `(crash, recovered)` times for each completed master outage.
     pub outages: Vec<(SimTime, SimTime)>,
@@ -634,8 +654,8 @@ pub struct ThreeTierSystem {
     /// Edge restarts that arrived while the master was down; re-provisioned
     /// at the next promotion/recovery.
     deferred_restarts: Vec<usize>,
-    /// Last durable save image of the master: `(bytes, clock at save)`.
-    durable_image: Option<(Vec<u8>, SetClock)>,
+    /// The master's durable log (when the policy keeps durable saves).
+    durable: Option<DurableLog>,
     /// Sampling stream for the multi-variant check.
     shadow_rng: DetRng,
     ha_stats: HaStats,
@@ -752,8 +772,8 @@ impl ThreeTierSystem {
         } else {
             None
         };
-        let durable_image = if options.ha.as_ref().is_some_and(|h| h.durable_saves) {
-            Some((cloud_crdts.save(), cloud_crdts.clock()))
+        let durable = if options.ha.as_ref().is_some_and(|h| h.durable_saves) {
+            Some(DurableLog::new(&cloud_crdts, &options.telemetry))
         } else {
             None
         };
@@ -866,7 +886,7 @@ impl ThreeTierSystem {
             crash_events,
             crash_cursor: 0,
             deferred_restarts: Vec::new(),
-            durable_image,
+            durable,
             shadow_rng,
             ha_stats: HaStats::default(),
             next_sync: SimTime::ZERO + options.sync_interval,
@@ -1264,7 +1284,12 @@ impl ThreeTierSystem {
                 .as_mut()
                 .is_some_and(|p| p.should_drop(&edge_name, "cloud", at));
             if !dropped {
-                self.cloud_endpoints[i].receive_owned(&mut self.cloud_crdts, &mut self.cloud, msg);
+                let applied = self.cloud_endpoints[i].receive_owned(
+                    &mut self.cloud_crdts,
+                    &mut self.cloud,
+                    msg,
+                );
+                materialized(&telemetry, applied);
             }
             // cloud -> edge (cloud_state message). Under HA the ack clock
             // is capped at the durability frontier: the edge may only
@@ -1291,13 +1316,16 @@ impl ThreeTierSystem {
                 .as_mut()
                 .is_some_and(|p| p.should_drop("cloud", &edge_name, at));
             if !dropped {
-                edge.to_cloud
+                let applied = edge
+                    .to_cloud
                     .receive_owned(&mut edge.crdts, &mut edge.server, msg);
+                materialized(&telemetry, applied);
             }
         }
         // changes received this round reach the standby with the next
-        // round's pre-ack replication; persist the image after the
-        // exchanges so recovery resumes from this round's state
+        // round's pre-ack replication; persist after the exchanges so
+        // recovery resumes from this round's state, and before compaction
+        // so the durable log never misses a change compaction folds
         self.persist_durable();
         if self.options.compaction {
             let folded = self.compact_acked();
@@ -1438,19 +1466,19 @@ impl ThreeTierSystem {
         let actor = ActorId(self.next_actor);
         self.next_actor += 1;
         // Under HA the provisioning image is the durability frontier (the
-        // standby's state, or the durable save): an image ahead of it
+        // standby's state, or the durable log): an image ahead of it
         // would bake unacked changes into the fresh snapshot, where a
         // post-failover master could never recover them as changes.
         // Anything between the frontier and the master's head reaches the
         // rejoined edge through normal sync.
-        let image = match (&self.standby, &self.durable_image) {
-            (Some(sb), _) if self.options.ha.is_some() => sb.crdts.save(),
-            (None, Some((bytes, _))) if self.options.ha.is_some() => bytes.clone(),
-            _ => self.cloud_crdts.save(),
-        };
-        let crdts = CrdtSet::load(actor, &self.replica_bindings, &image)
-            .expect("cloud save image must round-trip");
-        crdts.materialize_all(&mut server);
+        let bindings = &self.replica_bindings;
+        let crdts = match (&self.standby, &self.durable) {
+            (Some(sb), _) => CrdtSet::load(actor, bindings, &sb.crdts.save()),
+            (None, Some(log)) => log.recover(actor, bindings),
+            (None, None) => CrdtSet::load(actor, bindings, &self.cloud_crdts.save()),
+        }
+        .expect("cloud save image must round-trip");
+        materialized(&self.options.telemetry, crdts.materialize_all(&mut server));
         let provisioned = crdts.clock();
         let quarantine = self.options.quarantine.is_some();
         let shadow = if quarantine {
@@ -1572,7 +1600,7 @@ impl ThreeTierSystem {
         }
         let edge = &mut self.edges[idx];
         let shadow = edge.shadow.as_mut()?;
-        edge.crdts.materialize_all(shadow);
+        materialized(&self.options.telemetry, edge.crdts.materialize_all(shadow));
         shadow.handle(request).ok().map(|o| o.response)
     }
 
@@ -1605,25 +1633,16 @@ impl ThreeTierSystem {
     }
 
     /// The durability frontier under ack capping: what the failover target
-    /// (standby, else durable image) provably holds. `None` disables
+    /// (standby, else durable log) provably holds. `None` disables
     /// capping (no HA, or the unsafe ablation).
     fn durability_clock(&self) -> Option<SetClock> {
-        let ha = self.options.ha.as_ref()?;
-        if !ha.ack_capping {
+        if !self.options.ha.as_ref()?.ack_capping {
             return None;
         }
         if let Some(sb) = &self.standby {
             return Some(sb.master_link.peer_clock.clone());
         }
-        if ha.durable_saves {
-            return Some(
-                self.durable_image
-                    .as_ref()
-                    .map(|(_, clock)| clock.clone())
-                    .unwrap_or_default(),
-            );
-        }
-        None
+        self.durable.as_ref().map(|log| log.frontier().clone())
     }
 
     /// One reliable intra-DC replication exchange: master delta to the
@@ -1631,20 +1650,25 @@ impl ThreeTierSystem {
     /// frontier ([`ThreeTierSystem::durability_clock`]).
     fn replicate_to_standby(&mut self) {
         if let Some(sb) = self.standby.as_mut() {
+            let telemetry = &self.options.telemetry;
             let msg = sb.master_link.generate(&self.cloud_crdts);
-            sb.standby_link
+            let applied = sb
+                .standby_link
                 .receive_owned(&mut sb.crdts, &mut sb.server, msg);
+            materialized(telemetry, applied);
             let ack = sb.standby_link.generate(&sb.crdts);
-            sb.master_link
+            let applied = sb
+                .master_link
                 .receive_owned(&mut self.cloud_crdts, &mut self.cloud, ack);
+            materialized(telemetry, applied);
         }
     }
 
-    /// Persist the master's save image (when the policy keeps durable
-    /// saves) — the recovery source for a standby-less restart.
+    /// Append the master's progress to the durable log (when the policy
+    /// keeps one) — the recovery source for a standby-less restart.
     fn persist_durable(&mut self) {
-        if self.options.ha.as_ref().is_some_and(|h| h.durable_saves) {
-            self.durable_image = Some((self.cloud_crdts.save(), self.cloud_crdts.clock()));
+        if let Some(log) = self.durable.as_mut() {
+            log.append(&self.cloud_crdts);
         }
     }
 
@@ -1706,7 +1730,7 @@ impl ThreeTierSystem {
                 CrashKind::Up => {
                     if self.cloud_down {
                         // no standby was available: recover from the
-                        // durable save image (or cold-start from init)
+                        // durable log (or cold-start from init)
                         self.recover_master_durable(ev.at);
                     } else {
                         // a standby was already promoted; the returning
@@ -1803,9 +1827,10 @@ impl ThreeTierSystem {
         self.restart_deferred(at);
     }
 
-    /// Recover a standby-less master from the durable save image (or, with
+    /// Recover a standby-less master from the durable log (or, with
     /// durable saves disabled — the ablation — cold-start from the init
-    /// snapshot, losing everything since deploy).
+    /// snapshot, losing everything since deploy). The recovered master is
+    /// a new incarnation, so its first persist rebases the log.
     fn recover_master_durable(&mut self, at: SimTime) {
         self.cloud_down = false;
         let mut server =
@@ -1814,12 +1839,13 @@ impl ThreeTierSystem {
         self.replica_init.restore(&mut server);
         let actor = ActorId(self.next_actor);
         self.next_actor += 1;
-        let crdts = match &self.durable_image {
-            Some((bytes, _)) => CrdtSet::load(actor, &self.replica_bindings, bytes)
-                .expect("durable image must round-trip"),
+        let crdts = match &self.durable {
+            Some(log) => log
+                .recover(actor, &self.replica_bindings)
+                .expect("durable log must replay"),
             None => CrdtSet::initialize(actor, &self.replica_bindings, &self.replica_init),
         };
-        crdts.materialize_all(&mut server);
+        materialized(&self.options.telemetry, crdts.materialize_all(&mut server));
         self.cloud = server;
         self.cloud_crdts = crdts;
         // what each edge has acked was in the dead master's memory; resend
@@ -1853,7 +1879,7 @@ impl ThreeTierSystem {
         let image = self.cloud_crdts.save();
         let crdts = CrdtSet::load(actor, &self.replica_bindings, &image)
             .expect("master image must round-trip");
-        crdts.materialize_all(&mut server);
+        materialized(&self.options.telemetry, crdts.materialize_all(&mut server));
         let clock = crdts.clock();
         self.standby = Some(CloudStandby {
             server,
@@ -2038,7 +2064,7 @@ impl ThreeTierSystem {
                                 }
                                 // A client-acked forwarded write must
                                 // survive failover: ship it to the standby
-                                // / durable image before the ack returns.
+                                // / durable log before the ack returns.
                                 let effectful = !out.row_effects.is_empty()
                                     || !out.file_writes.is_empty()
                                     || !out.global_writes.is_empty();
@@ -3135,6 +3161,72 @@ mod tests {
             assert!(final_clock.dominates(snap), "acked write lost in failover");
         }
         assert!(sys.cloud_crdts.tables["notes"].len() >= 40);
+    }
+
+    /// Without a standby the master restarts from the durable log: the
+    /// cluster reconverges on the recovered master, every acked write
+    /// survives, and the log's telemetry stays out of `RunStats`.
+    #[test]
+    fn standby_less_master_recovers_from_durable_log() {
+        let report = transformed();
+        let run = |telemetry: Telemetry| {
+            let mut crashes = CrashPlan::new(9);
+            crashes.crash(
+                "cloud",
+                SimTime::from_secs_f64(2.0),
+                SimTime::from_secs_f64(3.0),
+            );
+            let mut sys = ThreeTierSystem::deploy(
+                APP,
+                &report,
+                &[DeviceSpec::rpi4(), DeviceSpec::rpi3()],
+                ThreeTierOptions {
+                    crashes: Some(crashes),
+                    ha: Some(HaPolicy {
+                        standby: false,
+                        ..HaPolicy::default()
+                    }),
+                    telemetry,
+                    ..Default::default()
+                },
+            )
+            .unwrap();
+            let reqs: Vec<HttpRequest> = (0..40).map(unique_note).collect();
+            let stats = sys.run(&Workload::constant_rate(&reqs, 10.0, 40));
+            (sys, stats)
+        };
+        let telemetry = Telemetry::recording();
+        let (mut sys, stats) = run(telemetry.clone());
+        assert_eq!(stats.completed, 40);
+        sys.sync_until_converged(stats.makespan.max(SimTime::from_secs_f64(4.0)), 30)
+            .expect("cluster must reconverge on the recovered master");
+        assert!(!sys.master_down());
+        let hs = sys.ha_stats();
+        assert_eq!(hs.master_crashes, 1);
+        assert_eq!(hs.failovers, 0);
+        assert_eq!(hs.durable_recoveries, 1);
+        assert_eq!(hs.recovery_times(), vec![SimDuration::from_millis(1000)]);
+        let final_clock = sys.cloud_crdts.clock();
+        assert!(!hs.acked_snapshots.is_empty());
+        for snap in &hs.acked_snapshots {
+            assert!(final_clock.dominates(snap), "acked write lost in recovery");
+        }
+        // 40 run inserts plus the capture warm-up row
+        assert_eq!(sys.cloud_crdts.tables["notes"].len(), 41);
+        if let Some(reg) = telemetry.registry() {
+            let bytes = |kind| {
+                reg.counter("edgstr_ha_durable_bytes_total", &[("kind", kind)])
+                    .get()
+            };
+            assert!(bytes("base") > 0 && bytes("delta") > 0);
+            let rebases = reg.counter("edgstr_ha_durable_rebases_total", &[]).get();
+            assert!(rebases >= 1, "the recovered master rebases the log");
+        }
+        let (_, quiet) = run(Telemetry::disabled());
+        assert_eq!(
+            stats, quiet,
+            "durable-log telemetry must not touch RunStats"
+        );
     }
 
     /// Forwarded writes replicate to the standby before the client sees

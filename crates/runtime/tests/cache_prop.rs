@@ -153,7 +153,7 @@ fn perturb(
         NetEvent::Deliver => {
             if !queue.is_empty() {
                 let m = queue.remove(0);
-                dst_ep.receive_owned(dst_set, dst_srv, m);
+                dst_ep.receive_owned(dst_set, dst_srv, m).unwrap();
             }
         }
         NetEvent::Drop => {
@@ -164,13 +164,13 @@ fn perturb(
         NetEvent::Duplicate => {
             if !queue.is_empty() {
                 let m = queue.remove(0);
-                dst_ep.receive(dst_set, dst_srv, &m);
-                dst_ep.receive(dst_set, dst_srv, &m);
+                dst_ep.receive(dst_set, dst_srv, &m).unwrap();
+                dst_ep.receive(dst_set, dst_srv, &m).unwrap();
             }
         }
         NetEvent::ReorderNewestFirst => {
             if let Some(m) = queue.pop() {
-                dst_ep.receive_owned(dst_set, dst_srv, m);
+                dst_ep.receive_owned(dst_set, dst_srv, m).unwrap();
             }
         }
     }
@@ -355,16 +355,16 @@ proptest! {
         // reliable rounds converge the replicas — cached reads must stay
         // sound throughout and agree across tiers at the end
         for m in down.drain(..).rev() {
-            e2c.receive_owned(&mut edge_set, &mut edge, m);
+            e2c.receive_owned(&mut edge_set, &mut edge, m).unwrap();
         }
         for m in up.drain(..).rev() {
-            c2e.receive_owned(&mut cloud_set, &mut cloud, m);
+            c2e.receive_owned(&mut cloud_set, &mut cloud, m).unwrap();
         }
         for _ in 0..2 {
             let u = e2c.generate(&edge_set);
-            c2e.receive_owned(&mut cloud_set, &mut cloud, u);
+            c2e.receive_owned(&mut cloud_set, &mut cloud, u).unwrap();
             let d = c2e.generate(&cloud_set);
-            e2c.receive_owned(&mut edge_set, &mut edge, d);
+            e2c.receive_owned(&mut edge_set, &mut edge, d).unwrap();
         }
         for req in [
             HttpRequest::get("/count", json!({})),

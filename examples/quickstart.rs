@@ -85,7 +85,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         delta.changes.len(),
         delta.wire_size()
     );
-    c_recv.receive(&mut cloud_crdts, &mut cloud, &delta);
+    c_recv
+        .receive(&mut cloud_crdts, &mut cloud, &delta)
+        .expect("the visits table exists at the cloud");
 
     // the cloud now sees the edge-written row
     let rows = cloud.handle(&HttpRequest::get("/visits", json!({})))?;

@@ -20,6 +20,7 @@
 //!   (Fig. 10a).
 
 use edgstr_analysis::{InitState, ServerProcess};
+use edgstr_lang::fnv1a;
 use edgstr_net::{HttpRequest, LinkSpec};
 use edgstr_runtime::{MobilePower, RunStats, Workload};
 use edgstr_sim::{Device, DeviceSpec, SimTime};
@@ -27,17 +28,8 @@ use std::collections::HashMap;
 
 fn cache_key(req: &HttpRequest) -> (String, String, u64) {
     let params = req.params.to_string();
-    let body_hash = fnv(&req.body);
+    let body_hash = fnv1a(&req.body);
     (format!("{} {}", req.verb, req.path), params, body_hash)
-}
-
-fn fnv(data: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in data {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
 }
 
 /// A caching proxy deployed at the edge in front of the cloud service.

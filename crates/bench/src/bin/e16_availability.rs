@@ -32,6 +32,7 @@
 
 use edgstr_bench::{print_table, smoke_flag, BenchReport};
 use edgstr_core::{capture_and_transform, EdgStrConfig, TransformationReport};
+use edgstr_lang::fnv1a;
 use edgstr_net::{CrashPlan, FaultPlan, HttpRequest, LossModel};
 use edgstr_runtime::{
     CrdtSet, HaPolicy, QuarantinePolicy, ThreeTierOptions, ThreeTierSystem, Workload,
@@ -75,15 +76,6 @@ fn unique_note(i: usize) -> HttpRequest {
     HttpRequest::post("/note", json!({"id": i, "text": format!("t{i}")}), vec![])
 }
 
-fn fnv(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
 /// Bit-level digest of a replica's full converged state (tables plus
 /// globals) — compared across replicas *within* a cell.
 fn full_digest(set: &CrdtSet) -> u64 {
@@ -92,7 +84,7 @@ fn full_digest(set: &CrdtSet) -> u64 {
         set.tables["notes"].to_json(),
         set.globals.to_json()
     );
-    fnv(s.as_bytes())
+    fnv1a(s.as_bytes())
 }
 
 /// Bit-level digest of the durable keyed data only — compared *across*
@@ -102,7 +94,7 @@ fn full_digest(set: &CrdtSet) -> u64 {
 /// while the keyed table rows are restored bit-identically by
 /// resubmission.
 fn data_digest(set: &CrdtSet) -> u64 {
-    fnv(set.tables["notes"].to_json().to_string().as_bytes())
+    fnv1a(set.tables["notes"].to_json().to_string().as_bytes())
 }
 
 fn loss_faults(loss_pct: u32) -> Option<FaultPlan> {

@@ -906,17 +906,14 @@ impl Doc {
         Json::Object(root)
     }
 
-    /// Reconstruct a document from [`Doc::save`] output, owned by `actor`.
-    ///
-    /// Accepts both the snapshot+tail format and a legacy raw change
-    /// array (the pre-compaction save format, still produced by external
-    /// tooling and fixtures).
+    /// Reconstruct a document from [`Doc::save`] output (the
+    /// snapshot+tail format), owned by `actor`.
     ///
     /// # Errors
     ///
     /// Returns [`CrdtError::CorruptChange`] when the bytes do not decode,
-    /// the tail is not contiguous with the snapshot, or a legacy history
-    /// does not apply cleanly.
+    /// are not in the snapshot+tail format, or the tail is not contiguous
+    /// with the snapshot.
     pub fn load(actor: ActorId, bytes: &[u8]) -> Result<Doc, CrdtError> {
         let value: Json =
             serde_json::from_slice(bytes).map_err(|e| CrdtError::CorruptChange(e.to_string()))?;
@@ -930,7 +927,6 @@ impl Doc {
     /// Same as [`Doc::load`].
     pub fn load_json(actor: ActorId, value: &Json) -> Result<Doc, CrdtError> {
         match value {
-            Json::Array(_) => Doc::load_legacy(actor, value),
             Json::Object(obj) if obj.get("format").and_then(Json::as_str) == Some(SAVE_FORMAT) => {
                 Doc::load_v2(actor, obj)
             }
@@ -938,22 +934,6 @@ impl Doc {
                 "unrecognized save format".to_string(),
             )),
         }
-    }
-
-    /// Legacy format: a bare JSON array of changes, replayed from scratch.
-    fn load_legacy(actor: ActorId, value: &Json) -> Result<Doc, CrdtError> {
-        let history: Vec<Change> = crate::change::vec_from_json(value)
-            .map_err(|e| CrdtError::CorruptChange(e.to_string()))?;
-        let mut doc = Doc::new(actor);
-        doc.apply_changes_owned(history)?;
-        if doc.pending_len() > 0 {
-            return Err(CrdtError::CorruptChange(
-                "saved history is causally incomplete".to_string(),
-            ));
-        }
-        // continue this actor's own sequence where the history left off
-        doc.seq = doc.clock.get(actor);
-        Ok(doc)
     }
 
     fn load_v2(actor: ActorId, obj: &serde_json::Map) -> Result<Doc, CrdtError> {
@@ -1852,12 +1832,13 @@ mod save_load_tests {
         let mut a = Doc::new(ActorId(1));
         a.put(&path!["x"], json!(1)).unwrap();
         a.put(&path!["x"], json!(2)).unwrap();
-        // drop the first change: the second is causally unsatisfiable
-        let partial = serde_json::to_vec(&a.get_changes(&VClock::new())[1..]).unwrap();
-        assert!(matches!(
-            Doc::load(ActorId(2), &partial),
-            Err(CrdtError::CorruptChange(_))
-        ));
+        // a bare change array is not a save image (gap rejection inside
+        // the snapshot+tail format is `load_v2_rejects_tampered_tail`)
+        let bare = serde_json::to_vec(&a.get_changes(&VClock::new())).unwrap();
+        match Doc::load(ActorId(2), &bare) {
+            Err(CrdtError::CorruptChange(m)) => assert_eq!(m, "unrecognized save format"),
+            other => panic!("bare change array must be rejected, got {other:?}"),
+        }
     }
 }
 

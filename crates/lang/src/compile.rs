@@ -27,7 +27,7 @@
 
 use crate::ast::{BinOp, Expr, LValue, Program, Stmt, StmtId, UnOp};
 use crate::ops;
-use crate::value::{Closure, Value};
+use crate::value::{fnv1a_chain, Closure, Value, FNV1A_OFFSET};
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -40,7 +40,7 @@ pub struct FnvHasher(u64);
 
 impl Default for FnvHasher {
     fn default() -> Self {
-        FnvHasher(0xcbf2_9ce4_8422_2325)
+        FnvHasher(FNV1A_OFFSET)
     }
 }
 
@@ -50,10 +50,7 @@ impl Hasher for FnvHasher {
     }
 
     fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        self.0 = fnv1a_chain(self.0, bytes);
     }
 }
 

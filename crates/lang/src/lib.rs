@@ -48,5 +48,5 @@ pub use interp::{EmptyHost, Host, HostOutcome, Interpreter, RuntimeError, STMT_C
 pub use normalize::{normalize, renumber};
 pub use parser::{parse, ParseError};
 pub use printer::{print_expr, print_program, print_stmts};
-pub use value::{fnv1a, Atom, Closure, Value};
+pub use value::{fnv1a, fnv1a_chain, Atom, Closure, Value, FNV1A_OFFSET};
 pub use vm::Vm;

@@ -307,14 +307,23 @@ pub enum Atom {
     BytesHash(u64),
 }
 
+/// FNV-1a offset basis: the hash of the empty input.
+pub const FNV1A_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
 /// FNV-1a hash of a byte slice; stable fingerprint for binary payloads.
 pub fn fnv1a(data: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    fnv1a_chain(FNV1A_OFFSET, data)
+}
+
+/// Continue an FNV-1a hash over `data`: `fnv1a_chain(fnv1a(a), b)` is the
+/// hash of `a` followed by `b`. The workspace's one FNV-1a loop.
+#[inline]
+pub fn fnv1a_chain(mut hash: u64, data: &[u8]) -> u64 {
     for &b in data {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
+        hash ^= u64::from(b);
+        hash = hash.wrapping_mul(0x100_0000_01b3);
     }
-    h
+    hash
 }
 
 #[cfg(test)]

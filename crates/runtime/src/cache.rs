@@ -19,6 +19,7 @@
 //! the epoch, invalidating keyed readers too.
 
 use edgstr_analysis::{json_pk_string, request_field, EffectSummary, ReadUnit, StateUnit};
+use edgstr_core::TransformationReport;
 use edgstr_net::{HttpRequest, HttpResponse, Verb};
 use edgstr_telemetry::{Counter, Gauge, Telemetry};
 use std::collections::BTreeMap;
@@ -183,16 +184,75 @@ pub fn bump_static_global_writes(versions: &mut UnitVersions, summary: Option<&E
     }
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+/// Per-service effect summaries from a report's profiles: the caches'
+/// read/write sets, shared by every serving path.
+pub(crate) fn effect_summaries(
+    report: &TransformationReport,
+) -> BTreeMap<(Verb, String), EffectSummary> {
+    report
+        .services
+        .iter()
+        .filter_map(|s| {
+            s.profile
+                .as_ref()
+                .map(|p| ((s.verb, s.path.clone()), p.effects.clone()))
+        })
+        .collect()
+}
 
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = FNV_OFFSET;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(FNV_PRIME);
+/// How one request meets a response cache: the canonical entry key, the
+/// request's concrete read-unit keys, and the write-set facts that gate
+/// filling and forward-skipping.
+pub(crate) struct CachePlan {
+    pub(crate) key: CacheKey,
+    pub(crate) reads: Vec<UnitKey>,
+    /// No static global writes in the profile — required to fill, because
+    /// mutations of existing unbound globals are invisible in a concrete
+    /// [`edgstr_analysis::HandleOutcome`].
+    pub(crate) globals_clean: bool,
+    /// No writes of any kind in the profile.
+    pub(crate) pure: bool,
+}
+
+/// One request's serving plan, resolved from a single lookup of its
+/// service in the profiled effect summaries: the summary itself (for
+/// version bumps, shadow checks and placement) and, when the policy
+/// caches the service, its [`CachePlan`]. Every serving path — edge,
+/// cloud master, parallel worker — resolves requests here.
+pub(crate) struct ServePlan<'e> {
+    pub(crate) summary: Option<&'e EffectSummary>,
+    pub(crate) policy: CachePolicy,
+    /// `None` bypasses the caches entirely.
+    pub(crate) cache: Option<CachePlan>,
+}
+
+impl<'e> ServePlan<'e> {
+    /// Resolve `request` (whose service is `key`) under `policy`.
+    pub(crate) fn resolve(
+        effects: &'e BTreeMap<(Verb, String), EffectSummary>,
+        policy: CachePolicy,
+        key: &(Verb, String),
+        request: &HttpRequest,
+    ) -> ServePlan<'e> {
+        let summary = effects.get(key);
+        let cache = summary
+            .filter(|s| match policy {
+                CachePolicy::Off => false,
+                CachePolicy::ReadOnlyServices => s.cacheable && s.pure,
+                CachePolicy::All => s.cacheable,
+            })
+            .map(|s| CachePlan {
+                key: CacheKey::for_request(request),
+                reads: resolve_reads(s, request),
+                globals_clean: !s.writes.iter().any(|w| matches!(w, StateUnit::Global(_))),
+                pure: s.pure,
+            });
+        ServePlan {
+            summary,
+            policy,
+            cache,
+        }
     }
-    hash
 }
 
 /// Identity of one cacheable request: verb, path, canonicalized params
@@ -214,7 +274,7 @@ impl CacheKey {
             verb: request.verb,
             path: request.path.clone(),
             params: serde_json::to_string(&request.params).expect("params serialize"),
-            body_fnv: fnv1a(&request.body),
+            body_fnv: edgstr_lang::fnv1a(&request.body),
         }
     }
 

@@ -568,6 +568,17 @@ impl SyncEndpoint {
         }
     }
 
+    /// Endpoint in `mode` whose peer is known to hold `peer_clock` — a
+    /// channel resuming from a provisioning image (a fresh channel passes
+    /// the empty clock).
+    pub(crate) fn resuming(mode: AdvanceMode, peer_clock: SetClock) -> Self {
+        SyncEndpoint {
+            peer_clock,
+            mode,
+            ..SyncEndpoint::default()
+        }
+    }
+
     /// Build the next outgoing sync message for the peer.
     pub fn generate(&mut self, set: &CrdtSet) -> SetSyncMessage {
         let msg = SetSyncMessage::new(set.actor(), set.clock(), set.get_changes(&self.peer_clock));

@@ -1,6 +1,8 @@
 //! Shared run-driver plumbing for the two-tier and three-tier system
 //! drivers: workload generation, the mobile energy model, the WAN fault
-//! policy, and the per-run measurement recorder.
+//! policy, the per-run measurement recorder, and the one serve step and
+//! one provisioning path that both drivers and the parallel executor
+//! ([`crate::parallel`]) run every replica through.
 //!
 //! [`RunStats`] is a *view* over the telemetry registry: both drivers
 //! funnel every completion, failure, byte and retry through a
@@ -12,9 +14,17 @@
 //! `e14_observability` bench pins `RunStats` equality (including a
 //! response digest) with telemetry off vs on.
 
+use crate::cache::{bump_static_global_writes, CachePolicy, ResponseCache, ServePlan};
+use crate::crdtset::CrdtSet;
+use crate::system::BitFlipCorruptor;
+use edgstr_analysis::{ExecMode, HandleOutcome, InitState, ServerError, ServerProcess};
+use edgstr_lang::{fnv1a_chain, Program, FNV1A_OFFSET};
 use edgstr_net::{HttpRequest, HttpResponse};
 use edgstr_sim::{Clock, LatencyStats, SimDuration, SimTime};
-use edgstr_telemetry::{Counter, Gauge, Histogram, Telemetry};
+use edgstr_sql::SqlError;
+use edgstr_telemetry::{Counter, Gauge, Histogram, StmtProfiler, Telemetry};
+use std::cell::RefCell;
+use std::rc::Rc;
 
 /// Radio/idle power draw of the mobile client, used to integrate the
 /// per-request energy the Trepn profiler measures in the paper (Fig. 8).
@@ -219,15 +229,145 @@ impl RunStats {
     }
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+/// FNV-1a digest of one response — status, then the compact JSON body —
+/// chained onto `seed`. The unit of every response-parity check: the
+/// run digest ([`RunRecorder::complete`]), the multi-variant shadow
+/// comparison, and the parallel executor's per-request digests.
+pub(crate) fn response_digest(seed: u64, resp: &HttpResponse) -> u64 {
+    let h = fnv1a_chain(seed, &resp.status.to_le_bytes());
+    fnv1a_chain(h, resp.body.to_string().as_bytes())
+}
 
-fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(FNV_PRIME);
+/// Unwrap a materialization result. A failure means a bound table is
+/// missing from a server's database: the CRDT merge behind it completed,
+/// but the server cannot show the merged rows. That is a deployment bug,
+/// so debug builds stop on it; release builds count it in
+/// `edgstr_materialize_errors_total` and carry on.
+pub(crate) fn materialized<T: Default>(telemetry: &Telemetry, result: Result<T, SqlError>) -> T {
+    result.unwrap_or_else(|e| {
+        if let Some(reg) = telemetry.registry() {
+            reg.counter("edgstr_materialize_errors_total", &[]).inc();
+        }
+        debug_assert!(false, "materialization failed: {e}");
+        T::default()
+    })
+}
+
+/// Provision one server process — edge replica, cloud master, standby,
+/// shadow variant or parallel worker: build `program` on the `mode`
+/// engine, run its init phase, restore the shared init snapshot, and,
+/// when resuming from a CRDT state other than that snapshot, materialize
+/// `image` into it.
+///
+/// # Errors
+///
+/// Propagates init failures.
+pub(crate) fn provision_server(
+    program: &Program,
+    mode: ExecMode,
+    init: &InitState,
+    image: Option<&CrdtSet>,
+    telemetry: &Telemetry,
+) -> Result<ServerProcess, ServerError> {
+    let mut server = ServerProcess::from_program_with_mode(program.clone(), mode);
+    server.init()?;
+    init.restore(&mut server);
+    if let Some(crdts) = image {
+        materialized(telemetry, crdts.materialize_all(&mut server));
     }
-    hash
+    Ok(server)
+}
+
+/// Handle one request, attributing VM cycles/allocations to source
+/// statements when a profiler is attached (the uninstrumented path is the
+/// plain [`ServerProcess::handle`]).
+pub(crate) fn handle_profiled(
+    server: &mut ServerProcess,
+    request: &HttpRequest,
+    profiler: &Option<Rc<RefCell<StmtProfiler>>>,
+) -> Result<HandleOutcome, ServerError> {
+    match profiler {
+        Some(p) => {
+            let mut p = p.borrow_mut();
+            p.set_root(&format!("{} {}", request.verb, request.path));
+            server.handle_traced(request, &mut *p)
+        }
+        None => server.handle(request),
+    }
+}
+
+/// Whether an execution changed any state.
+pub(crate) fn has_effects(out: &HandleOutcome) -> bool {
+    !out.row_effects.is_empty() || !out.file_writes.is_empty() || !out.global_writes.is_empty()
+}
+
+/// One replica's serving state, borrowed for one request.
+pub(crate) struct Replica<'r> {
+    pub(crate) server: &'r mut ServerProcess,
+    pub(crate) crdts: &'r mut CrdtSet,
+    pub(crate) cache: &'r mut ResponseCache,
+    /// Injected faulty VM variant (edges only).
+    pub(crate) corruptor: Option<&'r mut BitFlipCorruptor>,
+    /// Diversified shadow variant sampled to check this request, already
+    /// materialized from `crdts`.
+    pub(crate) shadow: Option<&'r mut ServerProcess>,
+}
+
+/// What [`serve`] produced for one request.
+pub(crate) struct Served {
+    /// The execution; its response is what the replica serves (and may
+    /// have cached).
+    pub(crate) out: HandleOutcome,
+    /// `Some(mismatched)` when a shadow variant checked the request.
+    pub(crate) shadow_mismatch: Option<bool>,
+}
+
+/// The one serve step every serving path runs when a
+/// request executes: handle it on the replica's server (attributed to
+/// `profiler` when given), absorb the state changes into its CRDTs,
+/// version the profile's static global writes, let an injected faulty
+/// variant corrupt the response, and fill the cache when the execution
+/// was demonstrably effect-free — a re-execution would be a no-op, so a
+/// later hit skips nothing. A sampled shadow variant executes first, from
+/// the same pre-request state, and its response digest is compared with
+/// the one the replica serves.
+///
+/// # Errors
+///
+/// The handler's error; nothing is absorbed or cached.
+pub(crate) fn serve(
+    replica: Replica<'_>,
+    request: &HttpRequest,
+    plan: &ServePlan<'_>,
+    profiler: &Option<Rc<RefCell<StmtProfiler>>>,
+) -> Result<Served, ServerError> {
+    let shadow_response = replica
+        .shadow
+        .and_then(|shadow| shadow.handle(request).ok())
+        .map(|o| o.response);
+    let mut out = handle_profiled(replica.server, request, profiler)?;
+    replica.crdts.absorb_outcome(&out, replica.server);
+    if plan.policy != CachePolicy::Off {
+        bump_static_global_writes(&mut replica.crdts.versions, plan.summary);
+    }
+    // the state change was absorbed intact; only the served (and cached)
+    // response is corrupted
+    if let Some(c) = replica.corruptor {
+        c.corrupt(&mut out.response);
+    }
+    if let Some(p) = &plan.cache {
+        if p.globals_clean && !has_effects(&out) {
+            let stamp = replica.crdts.versions.snapshot(&p.reads);
+            replica.cache.fill(p.key.clone(), &out.response, stamp);
+        }
+    }
+    let shadow_mismatch = shadow_response.map(|shadow| {
+        response_digest(FNV1A_OFFSET, &out.response) != response_digest(FNV1A_OFFSET, &shadow)
+    });
+    Ok(Served {
+        out,
+        shadow_mismatch,
+    })
 }
 
 /// Registry counters the recorder drives, in [`RunStats`] field order.
@@ -297,7 +437,7 @@ impl RunRecorder {
             latency_hist: registry.histogram("edgstr_request_latency_us", &[]),
             replicas_gauge: registry.gauge("edgstr_active_replicas", &[]),
             stats: RunStats::default(),
-            digest: FNV_OFFSET,
+            digest: FNV1A_OFFSET,
             clock,
         }
     }
@@ -336,9 +476,7 @@ impl RunRecorder {
         if now > self.stats.makespan {
             self.stats.makespan = now;
         }
-        self.digest = fnv1a(self.digest, &response.status.to_le_bytes());
-        let body = serde_json::to_string(&response.body).expect("response body serializes");
-        self.digest = fnv1a(self.digest, body.as_bytes());
+        self.digest = response_digest(self.digest, response);
     }
 
     /// Record one failed request.

@@ -39,42 +39,26 @@
 //! their remaining deltas, the cloud folds everything, and per-replica
 //! convergence deltas flow back over per-worker bounded channels. The
 //! in-process channels are reliable, so endpoints run in
-//! [`AdvanceMode::Optimistic`] (the loss-tolerant ack protocol exists for
-//! the simulated WAN, which this executor does not traverse).
+//! [`edgstr_crdt::AdvanceMode::Optimistic`] (the loss-tolerant ack
+//! protocol exists for the simulated WAN, which this executor does not
+//! traverse).
 
-use crate::cache::{
-    bump_static_global_writes, resolve_reads, CacheKey, CachePolicy, CacheStats, ResponseCache,
-    UnitKey,
-};
+use crate::cache::{effect_summaries, CachePolicy, CacheStats, ResponseCache, ServePlan};
 use crate::crdtset::{CrdtSet, SetSyncMessage, SyncEndpoint};
-use edgstr_analysis::{EffectSummary, InitSeed, InitState, ServerProcess, StateUnit};
+use crate::driver::{provision_server, response_digest, serve, Replica};
+use edgstr_analysis::{EffectSummary, ExecMode, InitSeed, InitState, ServerProcess};
 use edgstr_core::{CrdtBindings, TransformationReport};
-use edgstr_crdt::{ActorId, AdvanceMode};
-use edgstr_lang::Program;
-use edgstr_net::{HttpRequest, HttpResponse, Verb};
+use edgstr_crdt::ActorId;
+use edgstr_lang::{fnv1a_chain, parse, Program, FNV1A_OFFSET};
+use edgstr_net::{HttpRequest, Verb};
 use edgstr_sim::{Clock, SimDuration};
 use edgstr_telemetry::{RegistrySnapshot, Telemetry};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Barrier};
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
-
-fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
-    for b in bytes {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
-/// FNV-1a digest of one response (status + canonical body) — the same
-/// shape the virtual-time drivers and the multi-variant check use.
-fn response_digest(resp: &HttpResponse) -> u64 {
-    let h = fnv1a(FNV_OFFSET, &resp.status.to_le_bytes());
-    fnv1a(h, resp.body.to_string().as_bytes())
-}
+/// Bound of the job and delta channels (backpressure, not loss).
+const CHANNEL_CAPACITY: usize = 256;
 
 /// Digest of a failed request in the per-request digest stream.
 pub const FAILED_DIGEST: u64 = 0;
@@ -107,15 +91,7 @@ impl ReplicaSeed {
             bindings: report.replica.bindings.clone(),
             init: InitSeed::from_state(&report.replica.init),
             replicated: report.replica.replicated.iter().cloned().collect(),
-            effects: report
-                .services
-                .iter()
-                .filter_map(|s| {
-                    s.profile
-                        .as_ref()
-                        .map(|p| ((s.verb, s.path.clone()), p.effects.clone()))
-                })
-                .collect(),
+            effects: effect_summaries(report),
         }
     }
 }
@@ -132,8 +108,6 @@ pub struct ParallelOptions {
     pub workers: usize,
     /// Requests a replica serves between delta flushes to the cloud.
     pub sync_batch: usize,
-    /// Bound of the job and delta channels (backpressure, not loss).
-    pub channel_capacity: usize,
     pub cache: CachePolicy,
     pub cache_budget_bytes: usize,
     /// Give each worker a private recording telemetry shard, folded into
@@ -147,7 +121,6 @@ impl Default for ParallelOptions {
             replicas: 8,
             workers: 1,
             sync_batch: 16,
-            channel_capacity: 256,
             cache: CachePolicy::Off,
             cache_budget_bytes: 256 * 1024,
             telemetry_shards: false,
@@ -199,35 +172,6 @@ impl ParallelRunStats {
     }
 }
 
-/// Cache participation of one request (the parallel twin of the
-/// virtual-time driver's plan: key, concrete read units, fill gates).
-struct CachePlan {
-    key: CacheKey,
-    reads: Vec<UnitKey>,
-    globals_clean: bool,
-}
-
-fn cache_plan(seed: &ReplicaSeed, policy: CachePolicy, request: &HttpRequest) -> Option<CachePlan> {
-    if policy == CachePolicy::Off {
-        return None;
-    }
-    let summary = seed.effects.get(&(request.verb, request.path.clone()))?;
-    if !summary.cacheable {
-        return None;
-    }
-    if policy == CachePolicy::ReadOnlyServices && !summary.pure {
-        return None;
-    }
-    Some(CachePlan {
-        key: CacheKey::for_request(request),
-        reads: resolve_reads(summary, request),
-        globals_clean: !summary
-            .writes
-            .iter()
-            .any(|w| matches!(w, StateUnit::Global(_))),
-    })
-}
-
 /// One worker-owned edge replica: all of this lives on a single thread.
 struct OwnedReplica {
     server: ServerProcess,
@@ -240,26 +184,21 @@ struct OwnedReplica {
 impl OwnedReplica {
     fn build(seed: &ReplicaSeed, actor: u64, budget: usize, telemetry: &Telemetry) -> OwnedReplica {
         let init: InitState = seed.init.to_state();
-        let mut server = ServerProcess::from_program(seed.program.clone());
-        server.init().expect("replica program init");
-        init.restore(&mut server);
+        let server = provision_server(&seed.program, ExecMode::default(), &init, None, telemetry)
+            .expect("replica program init");
         OwnedReplica {
             server,
             crdts: CrdtSet::initialize(ActorId(actor), &seed.bindings, &init),
-            to_cloud: SyncEndpoint {
-                mode: AdvanceMode::Optimistic,
-                ..SyncEndpoint::new()
-            },
+            to_cloud: SyncEndpoint::optimistic(),
             cache: ResponseCache::new(budget, telemetry),
             served_since_flush: 0,
         }
     }
 
-    /// Serve one request on the owning thread: cache lookup, execute,
-    /// absorb effects into the CRDT set, effect-free fill. Returns the
-    /// response digest, or `None` for a failed (non-replicated or
-    /// erroring) request. Mirrors the local-serve path of
-    /// [`crate::ThreeTierSystem::run`] minus the simulated network/device.
+    /// Serve one request on the owning thread: a cache hit, else the one
+    /// serve step ([`crate::driver::serve`]) the virtual-time drivers run,
+    /// minus the simulated network/device. Returns the response digest, or
+    /// `None` for a failed (non-replicated or erroring) request.
     fn serve(
         &mut self,
         seed: &ReplicaSeed,
@@ -270,33 +209,21 @@ impl OwnedReplica {
         if !seed.replicated.contains(&key) {
             return None;
         }
-        let plan = cache_plan(seed, policy, request);
-        if let Some(p) = &plan {
+        let plan = ServePlan::resolve(&seed.effects, policy, &key, request);
+        if let Some(p) = &plan.cache {
             if let Some(response) = self.cache.lookup(&p.key, &self.crdts.versions) {
-                return Some(response_digest(&response));
+                return Some(response_digest(FNV1A_OFFSET, &response));
             }
         }
-        match self.server.handle(request) {
-            Ok(out) => {
-                self.crdts.absorb_outcome(&out, &self.server);
-                if policy != CachePolicy::Off {
-                    bump_static_global_writes(&mut self.crdts.versions, seed.effects.get(&key));
-                }
-                if let Some(p) = &plan {
-                    // only a demonstrably effect-free execution may fill
-                    let effect_free = out.row_effects.is_empty()
-                        && out.file_writes.is_empty()
-                        && out.global_writes.is_empty()
-                        && p.globals_clean;
-                    if effect_free {
-                        let stamp = self.crdts.versions.snapshot(&p.reads);
-                        self.cache.fill(p.key.clone(), &out.response, stamp);
-                    }
-                }
-                Some(response_digest(&out.response))
-            }
-            Err(_) => None,
-        }
+        let replica = Replica {
+            server: &mut self.server,
+            crdts: &mut self.crdts,
+            cache: &mut self.cache,
+            corruptor: None,
+            shadow: None,
+        };
+        let served = serve(replica, request, &plan, &None).ok()?;
+        Some(response_digest(FNV1A_OFFSET, &served.out.response))
     }
 }
 
@@ -305,23 +232,23 @@ impl OwnedReplica {
 /// — it is local to whichever replica happened to write it.
 fn replicated_state_digest(bindings: &CrdtBindings, server: &ServerProcess) -> u64 {
     let db = server.db.snapshot().to_json();
-    let mut h = FNV_OFFSET;
+    let mut h = FNV1A_OFFSET;
     for t in &bindings.tables {
-        h = fnv1a(h, t.as_bytes());
+        h = fnv1a_chain(h, t.as_bytes());
         let rows = db.get(t).map(|v| v.to_string()).unwrap_or_default();
-        h = fnv1a(h, rows.as_bytes());
+        h = fnv1a_chain(h, rows.as_bytes());
     }
     for f in &bindings.files {
-        h = fnv1a(h, f.as_bytes());
-        h = fnv1a(h, server.fs.peek(f).unwrap_or(&[]));
+        h = fnv1a_chain(h, f.as_bytes());
+        h = fnv1a_chain(h, server.fs.peek(f).unwrap_or(&[]));
     }
     for g in &bindings.globals {
-        h = fnv1a(h, g.as_bytes());
+        h = fnv1a_chain(h, g.as_bytes());
         let v = server
             .global_json(g)
             .map(|v| v.to_string())
             .unwrap_or_default();
-        h = fnv1a(h, v.as_bytes());
+        h = fnv1a_chain(h, v.as_bytes());
     }
     h
 }
@@ -349,7 +276,7 @@ struct WorkerOutcome {
 /// The wall-clock parallel deployment: a cloud master thread plus `T`
 /// worker threads owning `R` edge replicas between them.
 pub struct ParallelSystem {
-    cloud_source: String,
+    cloud_program: Program,
     seed: Arc<ReplicaSeed>,
     options: ParallelOptions,
 }
@@ -361,7 +288,7 @@ impl ParallelSystem {
         options: ParallelOptions,
     ) -> ParallelSystem {
         ParallelSystem {
-            cloud_source: cloud_source.to_string(),
+            cloud_program: parse(cloud_source).expect("cloud source parses"),
             seed: Arc::new(ReplicaSeed::from_report(report)),
             options,
         }
@@ -378,10 +305,9 @@ impl ParallelSystem {
         let r_count = self.options.replicas.max(1);
         let t_count = self.options.workers.max(1).min(r_count);
         let batch = self.options.sync_batch.max(1);
-        let cap = self.options.channel_capacity.max(1);
         let seed = &self.seed;
         let options = &self.options;
-        let cloud_source = self.cloud_source.as_str();
+        let cloud_program = &self.cloud_program;
 
         // start: all workers built their replicas, the timed window opens.
         // drained: every worker emptied its queue, the window closes.
@@ -400,18 +326,18 @@ impl ParallelSystem {
             let mut job_txs: Vec<SyncSender<(u32, HttpRequest)>> = Vec::with_capacity(t_count);
             let mut job_rxs: Vec<Receiver<(u32, HttpRequest)>> = Vec::with_capacity(t_count);
             for _ in 0..t_count {
-                let (tx, rx) = sync_channel(cap);
+                let (tx, rx) = sync_channel(CHANNEL_CAPACITY);
                 job_txs.push(tx);
                 job_rxs.push(rx);
             }
             // delta channel: workers → cloud, shared
-            let (delta_tx, delta_rx) = sync_channel::<Delta>(cap);
+            let (delta_tx, delta_rx) = sync_channel::<Delta>(CHANNEL_CAPACITY);
             // convergence channels: cloud → worker
             let mut back_txs: Vec<SyncSender<(usize, SetSyncMessage)>> =
                 Vec::with_capacity(t_count);
             let mut back_rxs: Vec<Receiver<(usize, SetSyncMessage)>> = Vec::with_capacity(t_count);
             for _ in 0..t_count {
-                let (tx, rx) = sync_channel(cap);
+                let (tx, rx) = sync_channel(CHANNEL_CAPACITY);
                 back_txs.push(tx);
                 back_rxs.push(rx);
             }
@@ -424,17 +350,17 @@ impl ParallelSystem {
                 let seed = Arc::clone(seed);
                 move || {
                     let init: InitState = seed.init.to_state();
-                    let mut server =
-                        ServerProcess::from_source(cloud_source).expect("cloud source parses");
-                    server.init().expect("cloud init");
-                    init.restore(&mut server);
+                    let mut server = provision_server(
+                        cloud_program,
+                        ExecMode::default(),
+                        &init,
+                        None,
+                        &Telemetry::disabled(),
+                    )
+                    .expect("cloud init");
                     let mut crdts = CrdtSet::initialize(ActorId(1), &seed.bindings, &init);
-                    let mut endpoints: Vec<SyncEndpoint> = (0..r_count)
-                        .map(|_| SyncEndpoint {
-                            mode: AdvanceMode::Optimistic,
-                            ..SyncEndpoint::new()
-                        })
-                        .collect();
+                    let mut endpoints: Vec<SyncEndpoint> =
+                        (0..r_count).map(|_| SyncEndpoint::optimistic()).collect();
                     let mut received = 0usize;
                     while let Ok(delta) = delta_rx.recv() {
                         endpoints[delta.replica]
@@ -608,9 +534,9 @@ impl ParallelSystem {
         }
         stats.state_digest = cloud_digest;
         stats.converged = all_states.iter().all(|(_, d)| *d == cloud_digest);
-        let mut chain = FNV_OFFSET;
+        let mut chain = FNV1A_OFFSET;
         for d in &stats.per_request_digests {
-            chain = fnv1a(chain, &d.to_le_bytes());
+            chain = fnv1a_chain(chain, &d.to_le_bytes());
         }
         stats.response_digest = chain;
         stats
@@ -621,6 +547,7 @@ impl ParallelSystem {
 mod tests {
     use super::*;
     use edgstr_core::{capture_and_transform, EdgStrConfig};
+    use edgstr_net::HttpResponse;
     use serde_json::json;
 
     /// Compile-time Send audit: everything that crosses a thread boundary

@@ -8,11 +8,12 @@
 
 use crate::balancer::{Autoscaler, BalanceStrategy, LoadBalancer};
 use crate::cache::{
-    bump_static_global_writes, resolve_reads, CacheKey, CachePolicy, CacheStats, ResponseCache,
-    UnitKey, CACHE_HIT_CYCLES,
+    effect_summaries, CachePolicy, CacheStats, ResponseCache, ServePlan, CACHE_HIT_CYCLES,
 };
 use crate::crdtset::{CrdtSet, SetChanges, SetClock, SyncEndpoint};
-use crate::driver::RunRecorder;
+use crate::driver::{
+    handle_profiled, has_effects, materialized, provision_server, serve, Replica, RunRecorder,
+};
 pub use crate::driver::{FaultPolicy, MobilePower, RunStats, TimedRequest, Workload};
 use crate::durable::DurableLog;
 use crate::tiering::{
@@ -24,14 +25,13 @@ use edgstr_analysis::{
 };
 use edgstr_core::{CrdtBindings, TransformationReport};
 use edgstr_crdt::{ActorId, AdvanceMode};
-use edgstr_lang::Program;
+use edgstr_lang::{parse, Program};
 use edgstr_net::{
     CrashEvent, CrashKind, CrashPlan, FaultPlan, HttpRequest, HttpResponse, LinkChannel, LinkSpec,
     Verb,
 };
 use edgstr_placement::{Observation, Placement, PlacementController, StaticSignals};
 use edgstr_sim::{Clock, DetRng, Device, DeviceSpec, PowerState, SimDuration, SimTime};
-use edgstr_sql::SqlError;
 use edgstr_telemetry::{Counter, SpanId, StmtProfiler, Telemetry, Tier};
 use serde_json::Value as Json;
 use std::cell::RefCell;
@@ -131,48 +131,19 @@ fn request_profiler(telemetry: &Telemetry) -> Option<Rc<RefCell<StmtProfiler>>> 
     }
 }
 
-/// Handle one request, attributing VM cycles/allocations to source
-/// statements when a profiler is attached (the uninstrumented path is the
-/// plain [`ServerProcess::handle`]).
-fn handle_profiled(
-    server: &mut ServerProcess,
-    request: &HttpRequest,
-    profiler: &Option<Rc<RefCell<StmtProfiler>>>,
-) -> Result<edgstr_analysis::HandleOutcome, ServerError> {
-    match profiler {
-        Some(p) => {
-            let mut p = p.borrow_mut();
-            p.set_root(&format!("{} {}", request.verb, request.path));
-            server.handle_traced(request, &mut *p)
-        }
-        None => server.handle(request),
-    }
-}
-
 /// A diversified shadow variant for the multi-variant check: the same
 /// replica program on the tree-walking engine (the primary serves
 /// compiled), so an engine-level fault cannot corrupt both variants the
-/// same way.
-fn build_shadow(program: &Program, init: &InitState) -> Result<ServerProcess, ServerError> {
-    let mut shadow = ServerProcess::from_program_with_mode(program.clone(), ExecMode::TreeWalking);
-    shadow.init()?;
-    init.restore(&mut shadow);
-    Ok(shadow)
-}
-
-/// Unwrap a materialization result. A failure means a bound table is
-/// missing from a server's database: the CRDT merge behind it completed,
-/// but the server cannot show the merged rows. That is a deployment bug,
-/// so debug builds stop on it; release builds count it in
-/// `edgstr_materialize_errors_total` and carry on.
-fn materialized<T: Default>(telemetry: &Telemetry, result: Result<T, SqlError>) -> T {
-    result.unwrap_or_else(|e| {
-        if let Some(reg) = telemetry.registry() {
-            reg.counter("edgstr_materialize_errors_total", &[]).inc();
-        }
-        debug_assert!(false, "materialization failed: {e}");
-        T::default()
-    })
+/// same way. Built only when a [`QuarantinePolicy`] is configured.
+fn build_shadow(
+    quarantine: bool,
+    program: &Program,
+    init: &InitState,
+    telemetry: &Telemetry,
+) -> Result<Option<ServerProcess>, ServerError> {
+    quarantine
+        .then(|| provision_server(program, ExecMode::TreeWalking, init, None, telemetry))
+        .transpose()
 }
 
 /// Verb/path attributes for a request span, built once so the span opens
@@ -348,21 +319,6 @@ fn flip_first_int(v: &mut Json, bit: u32) -> bool {
     }
 }
 
-/// FNV-1a digest of a response (status + canonical body) — the comparison
-/// the multi-variant check runs between primary and shadow.
-fn response_digest(resp: &HttpResponse) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut eat = |bytes: &[u8]| {
-        for b in bytes {
-            h ^= u64::from(*b);
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    };
-    eat(&resp.status.to_le_bytes());
-    eat(resp.body.to_string().as_bytes());
-    h
-}
-
 /// Telemetry label for a service key: `"GET /path"`.
 fn service_label(key: &(Verb, String)) -> String {
     format!("{} {}", key.0, key.1)
@@ -503,6 +459,18 @@ pub struct EdgeReplica {
 }
 
 impl EdgeReplica {
+    /// This edge's serving state for one request, with its shadow variant
+    /// when `shadow` (the request was sampled for the multi-variant check).
+    fn replica(&mut self, shadow: bool) -> Replica<'_> {
+        Replica {
+            server: &mut self.server,
+            crdts: &mut self.crdts,
+            cache: &mut self.cache,
+            corruptor: self.corruptor.as_mut(),
+            shadow: self.shadow.as_mut().filter(|_| shadow),
+        }
+    }
+
     fn prune(&mut self, now: SimTime) {
         self.inflight.retain(|f| *f > now);
     }
@@ -592,21 +560,6 @@ impl Default for ThreeTierOptions {
     }
 }
 
-/// Everything the driver needs to consult the cache for one request,
-/// resolved before any replica borrow: the canonical entry key, the
-/// request's concrete read-unit keys, and write-set facts that gate
-/// filling and forward-skipping.
-struct CachePlan {
-    key: CacheKey,
-    reads: Vec<UnitKey>,
-    /// No static global writes in the profile — required to fill, because
-    /// mutations of existing unbound globals are invisible in a concrete
-    /// [`edgstr_analysis::HandleOutcome`].
-    globals_clean: bool,
-    /// No writes of any kind in the profile.
-    pure: bool,
-}
-
 /// The EdgStr-generated three-tier deployment.
 #[derive(Debug)]
 pub struct ThreeTierSystem {
@@ -621,8 +574,9 @@ pub struct ThreeTierSystem {
     /// Cloud-side response cache for forwarded requests.
     cloud_cache: ResponseCache,
     /// Per-service effect summaries from profiling — the cache's read/write
-    /// sets.
-    effects: BTreeMap<(Verb, String), EffectSummary>,
+    /// sets. Shared so a run's serve plans can borrow it across `&mut self`
+    /// calls.
+    effects: Rc<BTreeMap<(Verb, String), EffectSummary>>,
     pub mobile: MobilePower,
     lan_up: LinkChannel,
     lan_down: LinkChannel,
@@ -638,9 +592,9 @@ pub struct ThreeTierSystem {
     /// crashed incarnation's actor would collide with its sequence
     /// numbers).
     next_actor: u64,
-    /// Original cloud program source, kept so standbys and recovered
-    /// masters can be re-provisioned.
-    cloud_source: String,
+    /// Original cloud program, kept so standbys and recovered masters can
+    /// be re-provisioned.
+    cloud_program: Program,
     /// The warm standby, when the HA policy runs one.
     standby: Option<CloudStandby>,
     /// The master is currently crashed: sync rounds no-op and forwards
@@ -703,35 +657,27 @@ impl ThreeTierSystem {
         if let Some(plan) = options.faults.as_mut() {
             plan.set_telemetry(options.telemetry.clone());
         }
-        let mut cloud = ServerProcess::from_source(cloud_source)?;
-        cloud.init()?;
-        report.replica.init.restore(&mut cloud);
-        let cloud_crdts =
-            CrdtSet::initialize(ActorId(1), &report.replica.bindings, &report.replica.init);
+        let cloud_program = parse(cloud_source).map_err(|e| ServerError::Parse(e.to_string()))?;
+        let (program, bindings, init) = (
+            &report.replica.program,
+            &report.replica.bindings,
+            &report.replica.init,
+        );
+        let telemetry = &options.telemetry;
+        let cloud = provision_server(&cloud_program, ExecMode::default(), init, None, telemetry)?;
+        let cloud_crdts = CrdtSet::initialize(ActorId(1), bindings, init);
+        let fresh_endpoint = || SyncEndpoint::resuming(options.sync_advance, SetClock::default());
         let mut edges = Vec::new();
         for (i, spec) in edge_devices.iter().enumerate() {
-            let mut server = ServerProcess::from_program(report.replica.program.clone());
-            server.init()?;
-            report.replica.init.restore(&mut server);
-            let crdts = CrdtSet::initialize(
-                ActorId(2 + i as u64),
-                &report.replica.bindings,
-                &report.replica.init,
-            );
-            let shadow = if options.quarantine.is_some() {
-                Some(build_shadow(&report.replica.program, &report.replica.init)?)
-            } else {
-                None
-            };
+            let server = provision_server(program, ExecMode::default(), init, None, telemetry)?;
+            let crdts = CrdtSet::initialize(ActorId(2 + i as u64), bindings, init);
+            let shadow = build_shadow(options.quarantine.is_some(), program, init, telemetry)?;
             edges.push(EdgeReplica {
                 server,
                 device: Device::new(spec.clone()),
                 crdts,
-                to_cloud: SyncEndpoint {
-                    mode: options.sync_advance,
-                    ..SyncEndpoint::new()
-                },
-                cache: ResponseCache::new(options.cache_budget_bytes, &options.telemetry),
+                to_cloud: fresh_endpoint(),
+                cache: ResponseCache::new(options.cache_budget_bytes, telemetry),
                 inflight: Vec::new(),
                 active: true,
                 crashed: false,
@@ -742,26 +688,16 @@ impl ThreeTierSystem {
                 shadow_mismatches: 0,
             });
         }
-        let cloud_endpoints = (0..edges.len())
-            .map(|_| SyncEndpoint {
-                mode: options.sync_advance,
-                ..SyncEndpoint::new()
-            })
-            .collect();
+        let cloud_endpoints = (0..edges.len()).map(|_| fresh_endpoint()).collect();
         let balancer = LoadBalancer::new(options.balance);
         let jitter = DetRng::new(options.policy.jitter_seed);
         let mut next_actor = 2 + edges.len() as u64;
         // warm standby: a second cloud replica initialized from the same
         // snapshot, continuously fed over the reliable intra-DC link
         let standby = if options.ha.as_ref().is_some_and(|h| h.standby) {
-            let mut server = ServerProcess::from_source(cloud_source)?;
-            server.init()?;
-            report.replica.init.restore(&mut server);
-            let crdts = CrdtSet::initialize(
-                ActorId(next_actor),
-                &report.replica.bindings,
-                &report.replica.init,
-            );
+            let server =
+                provision_server(&cloud_program, ExecMode::default(), init, None, telemetry)?;
+            let crdts = CrdtSet::initialize(ActorId(next_actor), bindings, init);
             next_actor += 1;
             Some(CloudStandby {
                 server,
@@ -773,7 +709,7 @@ impl ThreeTierSystem {
             None
         };
         let durable = if options.ha.as_ref().is_some_and(|h| h.durable_saves) {
-            Some(DurableLog::new(&cloud_crdts, &options.telemetry))
+            Some(DurableLog::new(&cloud_crdts, telemetry))
         } else {
             None
         };
@@ -783,16 +719,8 @@ impl ThreeTierSystem {
             .map(|p| p.events().to_vec())
             .unwrap_or_default();
         let shadow_rng = DetRng::new(options.quarantine.as_ref().map_or(0, |q| q.seed));
-        let effects: BTreeMap<(Verb, String), EffectSummary> = report
-            .services
-            .iter()
-            .filter_map(|s| {
-                s.profile
-                    .as_ref()
-                    .map(|p| ((s.verb, s.path.clone()), p.effects.clone()))
-            })
-            .collect();
-        let cloud_cache = ResponseCache::new(options.cache_budget_bytes, &options.telemetry);
+        let effects = effect_summaries(report);
+        let cloud_cache = ResponseCache::new(options.cache_budget_bytes, telemetry);
         let replicated: BTreeSet<(Verb, String)> =
             report.replica.replicated.iter().cloned().collect();
         // every profiled or replicated service gets an explicit placement
@@ -879,7 +807,7 @@ impl ThreeTierSystem {
             replica_bindings: report.replica.bindings.clone(),
             replica_init: report.replica.init.clone(),
             next_actor,
-            cloud_source: cloud_source.to_string(),
+            cloud_program,
             standby,
             cloud_down: false,
             pending_promotion: None,
@@ -893,7 +821,7 @@ impl ThreeTierSystem {
             options,
             replicated,
             cloud_cache,
-            effects,
+            effects: Rc::new(effects),
             mobile: MobilePower::default(),
             placements,
             controller,
@@ -1202,31 +1130,6 @@ impl ThreeTierSystem {
         }
     }
 
-    /// Resolve the cache participation of one request under the configured
-    /// policy: `None` means this request bypasses the caches entirely.
-    fn cache_plan(&self, request: &HttpRequest) -> Option<CachePlan> {
-        let policy = self.options.cache;
-        if policy == CachePolicy::Off {
-            return None;
-        }
-        let summary = self.effects.get(&(request.verb, request.path.clone()))?;
-        if !summary.cacheable {
-            return None;
-        }
-        if policy == CachePolicy::ReadOnlyServices && !summary.pure {
-            return None;
-        }
-        Some(CachePlan {
-            key: CacheKey::for_request(request),
-            reads: resolve_reads(summary, request),
-            globals_clean: !summary
-                .writes
-                .iter()
-                .any(|w| matches!(w, StateUnit::Global(_))),
-            pure: summary.pure,
-        })
-    }
-
     /// Lifetime hit/miss/eviction/invalidation counts aggregated over the
     /// cloud cache and every edge cache.
     pub fn cache_stats(&self) -> CacheStats {
@@ -1460,9 +1363,6 @@ impl ThreeTierSystem {
     ///
     /// Propagates replica init failures.
     pub fn restart_edge(&mut self, i: usize) -> Result<(), ServerError> {
-        let mut server = ServerProcess::from_program(self.replica_program.clone());
-        server.init()?;
-        self.replica_init.restore(&mut server);
         let actor = ActorId(self.next_actor);
         self.next_actor += 1;
         // Under HA the provisioning image is the durability frontier (the
@@ -1478,22 +1378,16 @@ impl ThreeTierSystem {
             (None, None) => CrdtSet::load(actor, bindings, &self.cloud_crdts.save()),
         }
         .expect("cloud save image must round-trip");
-        materialized(&self.options.telemetry, crdts.materialize_all(&mut server));
+        let (program, init) = (&self.replica_program, &self.replica_init);
+        let telemetry = &self.options.telemetry;
+        let server = provision_server(program, ExecMode::default(), init, Some(&crdts), telemetry)?;
+        let shadow = build_shadow(self.options.quarantine.is_some(), program, init, telemetry)?;
         let provisioned = crdts.clock();
-        let quarantine = self.options.quarantine.is_some();
-        let shadow = if quarantine {
-            Some(build_shadow(&self.replica_program, &self.replica_init)?)
-        } else {
-            None
-        };
+        let mode = self.options.sync_advance;
         let e = &mut self.edges[i];
         e.server = server;
         e.crdts = crdts;
-        e.to_cloud = SyncEndpoint {
-            mode: self.options.sync_advance,
-            peer_clock: provisioned.clone(),
-            ..SyncEndpoint::new()
-        };
+        e.to_cloud = SyncEndpoint::resuming(mode, provisioned.clone());
         e.inflight.clear();
         e.crashed = false;
         e.active = true;
@@ -1512,11 +1406,7 @@ impl ThreeTierSystem {
         e.shadow_mismatches = 0;
         // the cloud resumes from the image's clock: nothing below it is
         // ever re-sent
-        self.cloud_endpoints[i] = SyncEndpoint {
-            mode: self.options.sync_advance,
-            peer_clock: provisioned,
-            ..SyncEndpoint::new()
-        };
+        self.cloud_endpoints[i] = SyncEndpoint::resuming(mode, provisioned);
         self.ha_stats.edge_restarts += 1;
         Ok(())
     }
@@ -1581,27 +1471,58 @@ impl ThreeTierSystem {
         read_ok && write_ok
     }
 
-    /// Maybe shadow-execute `request` on edge `idx`'s diversified variant
-    /// (sampled at the quarantine policy's check fraction), returning the
-    /// shadow's response for digest comparison. Runs before the primary
-    /// handles the request: both variants start from the same CRDT state,
-    /// and the shadow's own state is rebuilt from scratch each check, so
-    /// shadow execution never contaminates the serving replica.
-    fn shadow_check(&mut self, idx: usize, request: &HttpRequest) -> Option<HttpResponse> {
-        let q = self.options.quarantine.as_ref()?;
+    /// Sample a request of service `summary` for the multi-variant check
+    /// (at the quarantine policy's check fraction) and, when sampled,
+    /// materialize edge `idx`'s current CRDT state into its diversified
+    /// variant. The serve step then runs the shadow before the primary:
+    /// both start from the same CRDT state, and the shadow's own state is
+    /// rebuilt from scratch each check, so shadow execution never
+    /// contaminates the serving replica.
+    fn sample_shadow(&mut self, idx: usize, summary: Option<&EffectSummary>) -> bool {
+        let Some(q) = self.options.quarantine.as_ref() else {
+            return false;
+        };
         let fraction = q.check_fraction;
-        let key = (request.verb, request.path.clone());
-        let summary = self.effects.get(&key)?;
-        if !self.shadow_checkable(summary) {
-            return None;
-        }
-        if !self.shadow_rng.chance(fraction) {
-            return None;
+        if !summary.is_some_and(|s| self.shadow_checkable(s)) || !self.shadow_rng.chance(fraction) {
+            return false;
         }
         let edge = &mut self.edges[idx];
-        let shadow = edge.shadow.as_mut()?;
+        let Some(shadow) = edge.shadow.as_mut() else {
+            return false;
+        };
         materialized(&self.options.telemetry, edge.crdts.materialize_all(shadow));
-        shadow.handle(request).ok().map(|o| o.response)
+        true
+    }
+
+    /// Record one multi-variant comparison on edge `idx`; returns whether
+    /// the edge just exhausted its mismatch budget and must be
+    /// quarantined once the request completes.
+    fn record_shadow_check(
+        &mut self,
+        idx: usize,
+        mismatch: bool,
+        span: SpanId,
+        at: SimTime,
+    ) -> bool {
+        self.ha_stats.shadow_checks += 1;
+        if !mismatch {
+            return false;
+        }
+        self.ha_stats.shadow_mismatches += 1;
+        self.edges[idx].shadow_mismatches += 1;
+        self.options.telemetry.event(
+            "shadow.mismatch",
+            Tier::System,
+            Some(span),
+            at,
+            &[("edge", Json::from(idx as u64))],
+        );
+        let budget = self
+            .options
+            .quarantine
+            .as_ref()
+            .map_or(u32::MAX, |q| q.mismatch_budget);
+        self.edges[idx].shadow_mismatches > budget
     }
 
     /// Quarantine edge `i`: drain it, drop its caches, and re-provision a
@@ -1800,18 +1721,7 @@ impl ThreeTierSystem {
         let Some(sb) = self.standby.take() else {
             return;
         };
-        self.cloud = sb.server;
-        self.cloud_crdts = sb.crdts;
-        self.cloud_down = false;
-        for ep in &mut self.cloud_endpoints {
-            *ep = SyncEndpoint {
-                mode: self.options.sync_advance,
-                ..SyncEndpoint::new()
-            };
-        }
-        // cached responses are stamped with the dead master's version
-        // counters
-        self.cloud_cache.clear();
+        self.install_master(sb.server, sb.crdts);
         self.persist_durable();
         self.ha_stats.failovers += 1;
         if let Some(crashed_at) = self.last_open_outage() {
@@ -1832,11 +1742,6 @@ impl ThreeTierSystem {
     /// snapshot, losing everything since deploy). The recovered master is
     /// a new incarnation, so its first persist rebases the log.
     fn recover_master_durable(&mut self, at: SimTime) {
-        self.cloud_down = false;
-        let mut server =
-            ServerProcess::from_source(&self.cloud_source).expect("cloud source parsed at deploy");
-        server.init().expect("cloud init re-runs cleanly");
-        self.replica_init.restore(&mut server);
         let actor = ActorId(self.next_actor);
         self.next_actor += 1;
         let crdts = match &self.durable {
@@ -1845,18 +1750,10 @@ impl ThreeTierSystem {
                 .expect("durable log must replay"),
             None => CrdtSet::initialize(actor, &self.replica_bindings, &self.replica_init),
         };
-        materialized(&self.options.telemetry, crdts.materialize_all(&mut server));
-        self.cloud = server;
-        self.cloud_crdts = crdts;
-        // what each edge has acked was in the dead master's memory; resend
-        // the retained tail from scratch (idempotent)
-        for ep in &mut self.cloud_endpoints {
-            *ep = SyncEndpoint {
-                mode: self.options.sync_advance,
-                ..SyncEndpoint::new()
-            };
-        }
-        self.cloud_cache.clear();
+        let server = self
+            .provision_cloud(&crdts)
+            .expect("cloud init re-runs cleanly");
+        self.install_master(server, crdts);
         self.ha_stats.durable_recoveries += 1;
         if let Some(crashed_at) = self.last_open_outage() {
             self.ha_stats.outages.push((crashed_at, at));
@@ -1870,32 +1767,52 @@ impl ThreeTierSystem {
     /// Provision a fresh warm standby from the current master's save image
     /// (the returning ex-master process after a failover).
     fn provision_standby(&mut self, at: SimTime) {
-        let mut server =
-            ServerProcess::from_source(&self.cloud_source).expect("cloud source parsed at deploy");
-        server.init().expect("cloud init re-runs cleanly");
-        self.replica_init.restore(&mut server);
         let actor = ActorId(self.next_actor);
         self.next_actor += 1;
         let image = self.cloud_crdts.save();
         let crdts = CrdtSet::load(actor, &self.replica_bindings, &image)
             .expect("master image must round-trip");
-        materialized(&self.options.telemetry, crdts.materialize_all(&mut server));
+        let server = self
+            .provision_cloud(&crdts)
+            .expect("cloud init re-runs cleanly");
         let clock = crdts.clock();
         self.standby = Some(CloudStandby {
             server,
             crdts,
-            master_link: SyncEndpoint {
-                peer_clock: clock.clone(),
-                ..SyncEndpoint::new()
-            },
-            standby_link: SyncEndpoint {
-                peer_clock: clock,
-                ..SyncEndpoint::new()
-            },
+            master_link: SyncEndpoint::resuming(AdvanceMode::OnAck, clock.clone()),
+            standby_link: SyncEndpoint::resuming(AdvanceMode::OnAck, clock),
         });
         self.options
             .telemetry
             .event("standby.provision", Tier::Cloud, None, at, &[]);
+    }
+
+    /// A cloud-program server resuming from `image`.
+    fn provision_cloud(&self, image: &CrdtSet) -> Result<ServerProcess, ServerError> {
+        let (program, init) = (&self.cloud_program, &self.replica_init);
+        provision_server(
+            program,
+            ExecMode::default(),
+            init,
+            Some(image),
+            &self.options.telemetry,
+        )
+    }
+
+    /// Make a promoted standby or a recovered process the cloud master.
+    /// It has never spoken to the edges (what each edge acked was in the
+    /// dead master's memory), so every sync channel restarts from scratch
+    /// — resending the retained tail is idempotent — and the cloud cache,
+    /// stamped with the dead master's version counters, is dropped.
+    fn install_master(&mut self, server: ServerProcess, crdts: CrdtSet) {
+        self.cloud = server;
+        self.cloud_crdts = crdts;
+        self.cloud_down = false;
+        let mode = self.options.sync_advance;
+        for ep in &mut self.cloud_endpoints {
+            *ep = SyncEndpoint::resuming(mode, SetClock::default());
+        }
+        self.cloud_cache.clear();
     }
 
     /// The crash time of the outage currently missing its recovery entry.
@@ -1945,6 +1862,40 @@ impl ThreeTierSystem {
         self.edges[i].corruptor.as_ref().map_or(0, |c| c.flips)
     }
 
+    /// The tail of every request served on edge `idx` — a cache hit or a
+    /// local execution: note degraded mode under an open breaker, charge
+    /// `cycles` on the edge device in a `serve` span, send the response
+    /// down the LAN, hold the connection until it lands, and run the
+    /// write-through sync round when configured. Returns the compute
+    /// finish and the delivery time.
+    fn respond_from_edge(
+        &mut self,
+        idx: usize,
+        arrive: SimTime,
+        cycles: u64,
+        resp_size: usize,
+        span: SpanId,
+        rec: &mut RunRecorder,
+    ) -> (SimTime, SimTime) {
+        let telemetry = &self.options.telemetry;
+        if self.breaker_open(idx, arrive) {
+            // still served locally; deltas queue until the WAN heals
+            rec.degraded();
+            telemetry.event("degraded.local_serve", Tier::Edge, Some(span), arrive, &[]);
+        }
+        let serve_span = telemetry.start_span("serve", Tier::Edge, Some(span), arrive);
+        let edge = &mut self.edges[idx];
+        let (_, finish) = edge.device.schedule_work(arrive, cycles);
+        telemetry.end_span(serve_span, finish);
+        let done = self.lan_down.send(finish, resp_size);
+        rec.add_lan_bytes(resp_size);
+        edge.inflight.push(done);
+        if self.options.synchronous_sync {
+            rec.add_wan_sync_bytes(self.sync_round(finish));
+        }
+        (finish, done)
+    }
+
     /// Forward one request to the cloud with bounded retries, exponential
     /// backoff and seeded jitter, under the run's fault plan and deadline.
     /// Returns `Some((time_back_at_edge, response_bytes))` on success. The
@@ -1958,7 +1909,7 @@ impl ThreeTierSystem {
         arrive: SimTime,
         rec: &mut RunRecorder,
         span: SpanId,
-        plan: Option<&CachePlan>,
+        plan: &ServePlan<'_>,
     ) -> Option<(SimTime, HttpResponse)> {
         let telemetry = self.options.telemetry.clone();
         let policy = self.options.policy.clone();
@@ -2010,87 +1961,51 @@ impl ThreeTierSystem {
                     // the fault plan's per-link streams stay aligned with
                     // the cache-off run.
                     let cloud_hit = plan
+                        .cache
+                        .as_ref()
                         .and_then(|p| self.cloud_cache.lookup(&p.key, &self.cloud_crdts.versions));
-                    if let Some(response) = cloud_hit {
-                        let serve =
-                            telemetry.start_span("serve", Tier::Cloud, Some(span), cloud_arrive);
-                        self.last_forward_cycles = CACHE_HIT_CYCLES;
-                        let (_, finish) = self
-                            .cloud_device
-                            .schedule_work(cloud_arrive, CACHE_HIT_CYCLES);
-                        telemetry.end_span(serve, finish);
-                        let resp_size = response.size();
-                        executed = Some((finish, response));
-                        let back = self.wan_down.send(finish, resp_size);
-                        rec.add_wan_request_bytes(resp_size);
-                        let resp_dropped = self
-                            .options
-                            .faults
-                            .as_mut()
-                            .is_some_and(|p| p.should_drop("cloud", &edge_name, finish));
-                        if !resp_dropped {
-                            self.record_forward_success(idx);
-                            return executed.map(|(_, r)| (back, r));
-                        }
-                    } else {
-                        match self.cloud.handle(request) {
-                            Ok(out) => {
-                                let serve = telemetry.start_span(
-                                    "serve",
-                                    Tier::Cloud,
-                                    Some(span),
-                                    cloud_arrive,
-                                );
-                                self.cloud_crdts.absorb_outcome(&out, &self.cloud);
-                                if self.options.cache != CachePolicy::Off {
-                                    bump_static_global_writes(
-                                        &mut self.cloud_crdts.versions,
-                                        self.effects.get(&(request.verb, request.path.clone())),
-                                    );
-                                }
-                                self.last_forward_cycles = out.cycles;
-                                let (_, finish) =
-                                    self.cloud_device.schedule_work(cloud_arrive, out.cycles);
-                                telemetry.end_span(serve, finish);
-                                if let Some(p) = plan {
-                                    let effect_free = out.row_effects.is_empty()
-                                        && out.file_writes.is_empty()
-                                        && out.global_writes.is_empty()
-                                        && p.globals_clean;
-                                    if effect_free {
-                                        let stamp = self.cloud_crdts.versions.snapshot(&p.reads);
-                                        self.cloud_cache.fill(p.key.clone(), &out.response, stamp);
-                                    }
-                                }
-                                // A client-acked forwarded write must
-                                // survive failover: ship it to the standby
-                                // / durable log before the ack returns.
-                                let effectful = !out.row_effects.is_empty()
-                                    || !out.file_writes.is_empty()
-                                    || !out.global_writes.is_empty();
-                                if effectful && self.options.ha.is_some() {
-                                    self.replicate_to_standby();
-                                    self.persist_durable();
-                                }
-                                let resp_size = out.response.size();
-                                executed = Some((finish, out.response));
-                                let back = self.wan_down.send(finish, resp_size);
-                                rec.add_wan_request_bytes(resp_size);
-                                let resp_dropped =
-                                    self.options.faults.as_mut().is_some_and(|p| {
-                                        p.should_drop("cloud", &edge_name, finish)
-                                    });
-                                if !resp_dropped {
-                                    self.record_forward_success(idx);
-                                    return executed.map(|(_, r)| (back, r));
-                                }
-                            }
-                            Err(_) => {
+                    let (cycles, response) = match cloud_hit {
+                        Some(response) => (CACHE_HIT_CYCLES, response),
+                        None => {
+                            let cloud = Replica {
+                                server: &mut self.cloud,
+                                crdts: &mut self.cloud_crdts,
+                                cache: &mut self.cloud_cache,
+                                corruptor: None,
+                                shadow: None,
+                            };
+                            let Ok(served) = serve(cloud, request, plan, &None) else {
                                 // application error: the WAN worked, no retry
                                 self.record_forward_success(idx);
                                 return None;
+                            };
+                            // A client-acked forwarded write must survive
+                            // failover: ship it to the standby / durable
+                            // log before the ack returns.
+                            if has_effects(&served.out) && self.options.ha.is_some() {
+                                self.replicate_to_standby();
+                                self.persist_durable();
                             }
+                            (served.out.cycles, served.out.response)
                         }
+                    };
+                    let serve_span =
+                        telemetry.start_span("serve", Tier::Cloud, Some(span), cloud_arrive);
+                    self.last_forward_cycles = cycles;
+                    let (_, finish) = self.cloud_device.schedule_work(cloud_arrive, cycles);
+                    telemetry.end_span(serve_span, finish);
+                    let resp_size = response.size();
+                    executed = Some((finish, response));
+                    let back = self.wan_down.send(finish, resp_size);
+                    rec.add_wan_request_bytes(resp_size);
+                    let resp_dropped = self
+                        .options
+                        .faults
+                        .as_mut()
+                        .is_some_and(|p| p.should_drop("cloud", &edge_name, finish));
+                    if !resp_dropped {
+                        self.record_forward_success(idx);
+                        return executed.map(|(_, r)| (back, r));
                     }
                 }
             }
@@ -2129,6 +2044,8 @@ impl ThreeTierSystem {
         // Deterministic virtual clock, as in [`TwoTierSystem::run`].
         let mut rec = RunRecorder::with_clock(&telemetry, Clock::virtual_clock());
         let profiler = request_profiler(&telemetry);
+        // serve plans borrow the summaries across `&mut self` calls
+        let effects = Rc::clone(&self.effects);
         // Per-edge routing counters resolved once: the registry lookup
         // allocates a metric key, which is too hot for the request loop.
         let routed: Vec<Counter> = telemetry.registry().map_or_else(Vec::new, |reg| {
@@ -2220,7 +2137,7 @@ impl ThreeTierSystem {
             let key = (tr.request.verb, tr.request.path.clone());
             let placement = self.placement_of(&key);
             let local = placement == Placement::EdgeReplicate;
-            let plan = self.cache_plan(&tr.request);
+            let plan = ServePlan::resolve(&effects, self.options.cache, &key, &tr.request);
             // A forwarded service may be served from the edge cache only
             // when skipping the WAN round-trip cannot diverge from the
             // cache-off run: no read set, no writes (pure), and no fault
@@ -2231,196 +2148,92 @@ impl ThreeTierSystem {
             // against the edge's CRDT read-unit versions.
             let forward_skip_ok = !local
                 && self.options.faults.is_none()
-                && plan.as_ref().is_some_and(|p| p.reads.is_empty() && p.pure);
+                && plan
+                    .cache
+                    .as_ref()
+                    .is_some_and(|p| p.reads.is_empty() && p.pure);
             let cache_hit: Option<HttpResponse> =
                 if local || forward_skip_ok || placement == Placement::EdgeCacheOnly {
-                    plan.as_ref().and_then(|p| {
+                    plan.cache.as_ref().and_then(|p| {
                         let edge = &mut self.edges[idx];
                         edge.cache.lookup(&p.key, &edge.crdts.versions)
                     })
                 } else {
                     None
                 };
-            // set when this request's digest mismatch exhausts the budget;
-            // acted on after the response is recorded
-            let mut quarantine_after: Option<usize> = None;
             // controller telemetry for this request: how it was served and
             // the compute it demanded
             let was_cache_hit = cache_hit.is_some();
-            let mut served_forwarded = false;
-            let mut served_cycles = CACHE_HIT_CYCLES;
-            let (done, response, up_total, down_total, wait) = if let Some(response) = cache_hit {
-                if self.breaker_open(idx, arrive) {
-                    rec.degraded();
-                    telemetry.event("degraded.local_serve", Tier::Edge, Some(span), arrive, &[]);
+            // Served on the edge: a cache hit, or the serve step when the
+            // service is replicated here (a sampled shadow variant runs
+            // first, from the same pre-request CRDT state). Anything else
+            // is forwarded.
+            let local_served = match cache_hit {
+                Some(response) => Some((response, CACHE_HIT_CYCLES, None)),
+                None if local => {
+                    let shadow = self.sample_shadow(idx, plan.summary);
+                    let replica = self.edges[idx].replica(shadow);
+                    serve(replica, &tr.request, &plan, &profiler)
+                        .ok()
+                        .map(|s| (s.out.response, s.out.cycles, s.shadow_mismatch))
                 }
-                let serve = telemetry.start_span("serve", Tier::Edge, Some(span), arrive);
-                let edge = &mut self.edges[idx];
-                let (_, finish) = edge.device.schedule_work(arrive, CACHE_HIT_CYCLES);
-                telemetry.end_span(serve, finish);
-                let resp_size = response.size();
-                let done = self.lan_down.send(finish, resp_size);
-                let down = done - finish;
-                rec.add_lan_bytes(resp_size);
-                edge.inflight.push(done);
-                if self.options.synchronous_sync {
-                    rec.add_wan_sync_bytes(self.sync_round(finish));
-                }
-                (done, response, up, down, finish - arrive)
-            } else {
-                // multi-variant check: shadow-execute first so both
-                // variants observe the same pre-request CRDT state
-                let shadow_verdict = if local {
-                    self.shadow_check(idx, &tr.request)
-                } else {
-                    None
-                };
-                let local_result = if local {
-                    handle_profiled(&mut self.edges[idx].server, &tr.request, &profiler)
-                } else {
-                    Err(ServerError::NoSuchRoute {
-                        verb: tr.request.verb,
-                        path: tr.request.path.clone(),
-                    })
-                };
-                match local_result {
-                    Ok(mut out) => {
-                        served_cycles = out.cycles;
-                        if self.breaker_open(idx, arrive) {
-                            // replicated service under an open breaker: still
-                            // served locally, deltas queue until the WAN heals
-                            rec.degraded();
-                            telemetry.event(
-                                "degraded.local_serve",
-                                Tier::Edge,
-                                Some(span),
-                                arrive,
-                                &[],
-                            );
-                        }
-                        let serve = telemetry.start_span("serve", Tier::Edge, Some(span), arrive);
-                        let summary = self.effects.get(&key);
-                        let edge = &mut self.edges[idx];
-                        edge.crdts.absorb_outcome(&out, &edge.server);
-                        if self.options.cache != CachePolicy::Off {
-                            bump_static_global_writes(&mut edge.crdts.versions, summary);
-                        }
-                        // injected faulty VM variant: the state change was
-                        // absorbed intact, but the response this replica
-                        // serves (and caches) is corrupted
-                        if let Some(c) = edge.corruptor.as_mut() {
-                            c.corrupt(&mut out.response);
-                        }
-                        if let Some(p) = &plan {
-                            // only a demonstrably effect-free execution may
-                            // fill: its re-execution would be a no-op, so a
-                            // later hit skips nothing
-                            let effect_free = out.row_effects.is_empty()
-                                && out.file_writes.is_empty()
-                                && out.global_writes.is_empty()
-                                && p.globals_clean;
-                            if effect_free {
-                                let stamp = edge.crdts.versions.snapshot(&p.reads);
-                                edge.cache.fill(p.key.clone(), &out.response, stamp);
-                            }
-                        }
-                        let (_, finish) = edge.device.schedule_work(arrive, out.cycles);
-                        telemetry.end_span(serve, finish);
-                        let resp_size = out.response.size();
-                        let done = self.lan_down.send(finish, resp_size);
-                        let down = done - finish;
-                        rec.add_lan_bytes(resp_size);
-                        edge.inflight.push(done);
-                        if self.options.synchronous_sync {
-                            rec.add_wan_sync_bytes(self.sync_round(finish));
-                        }
-                        if let Some(shadow_resp) = shadow_verdict {
-                            self.ha_stats.shadow_checks += 1;
-                            if response_digest(&out.response) != response_digest(&shadow_resp) {
-                                self.ha_stats.shadow_mismatches += 1;
-                                self.edges[idx].shadow_mismatches += 1;
-                                telemetry.event(
-                                    "shadow.mismatch",
-                                    Tier::System,
-                                    Some(span),
-                                    finish,
-                                    &[("edge", Json::from(idx as u64))],
-                                );
-                                let budget = self
-                                    .options
-                                    .quarantine
-                                    .as_ref()
-                                    .map_or(u32::MAX, |q| q.mismatch_budget);
-                                if self.edges[idx].shadow_mismatches > budget {
-                                    quarantine_after = Some(idx);
-                                }
-                            }
-                        }
-                        (done, out.response, up, down, finish - arrive)
-                    }
-                    Err(_) => {
-                        // failure forwarding: the edge proxies the request to
-                        // the cloud master over the WAN (§II-B)
-                        rec.forwarded();
-                        if self.breaker_open(idx, arrive) {
-                            // degraded mode: fail fast without a WAN attempt
-                            rec.degraded();
-                            rec.fail();
-                            telemetry.event(
-                                "degraded.fail_fast",
-                                Tier::Edge,
-                                Some(span),
-                                arrive,
-                                &[],
-                            );
-                            telemetry.end_span(span, arrive);
-                            continue;
-                        }
-                        let fwd = telemetry.start_span("forward", Tier::Edge, Some(span), arrive);
-                        match self.forward_to_cloud(
-                            idx,
-                            &tr.request,
-                            arrive,
-                            &mut rec,
-                            fwd,
-                            plan.as_ref(),
-                        ) {
-                            Some((back_at_edge, response)) => {
-                                served_forwarded = true;
-                                served_cycles = self.last_forward_cycles;
-                                telemetry.end_span(fwd, back_at_edge);
-                                let resp_size = response.size();
-                                let done = self.lan_down.send(back_at_edge, resp_size);
-                                let lan_down = done - back_at_edge;
-                                rec.add_lan_bytes(resp_size);
-                                self.edges[idx].inflight.push(done);
-                                // cache-only placement fills pure responses
-                                // stamped with the edge-local read-unit
-                                // versions, so sync-applied remote writes
-                                // invalidate them
-                                let fill = forward_skip_ok
-                                    || (placement == Placement::EdgeCacheOnly
-                                        && plan.as_ref().is_some_and(|p| p.pure));
-                                if fill {
-                                    if let Some(p) = &plan {
-                                        let edge = &mut self.edges[idx];
-                                        let stamp = edge.crdts.versions.snapshot(&p.reads);
-                                        edge.cache.fill(p.key.clone(), &response, stamp);
-                                    }
-                                }
-                                (done, response, up, lan_down, back_at_edge - arrive)
-                            }
-                            None => {
-                                telemetry.end_span(fwd, arrive);
-                                rec.fail();
-                                telemetry.end_span(span, arrive);
-                                continue;
-                            }
-                        }
-                    }
-                }
+                None => None,
             };
-            let energy = self.mobile.request_energy_j(up_total, down_total, wait);
+            let served_forwarded = local_served.is_none();
+            let served_cycles;
+            // set when this request's digest mismatch exhausts the budget;
+            // acted on after the response is recorded
+            let mut quarantine = false;
+            let (done, response, down, wait) = if let Some((response, cycles, shadow)) =
+                local_served
+            {
+                served_cycles = cycles;
+                let (finish, done) =
+                    self.respond_from_edge(idx, arrive, cycles, response.size(), span, &mut rec);
+                quarantine = shadow
+                    .is_some_and(|mismatch| self.record_shadow_check(idx, mismatch, span, finish));
+                (done, response, done - finish, finish - arrive)
+            } else {
+                // failure forwarding: the edge proxies the request to the
+                // cloud master over the WAN (§II-B)
+                rec.forwarded();
+                if self.breaker_open(idx, arrive) {
+                    // degraded mode: fail fast without a WAN attempt
+                    rec.degraded();
+                    rec.fail();
+                    telemetry.event("degraded.fail_fast", Tier::Edge, Some(span), arrive, &[]);
+                    telemetry.end_span(span, arrive);
+                    continue;
+                }
+                let fwd = telemetry.start_span("forward", Tier::Edge, Some(span), arrive);
+                let Some((back_at_edge, response)) =
+                    self.forward_to_cloud(idx, &tr.request, arrive, &mut rec, fwd, &plan)
+                else {
+                    telemetry.end_span(fwd, arrive);
+                    rec.fail();
+                    telemetry.end_span(span, arrive);
+                    continue;
+                };
+                served_cycles = self.last_forward_cycles;
+                telemetry.end_span(fwd, back_at_edge);
+                let resp_size = response.size();
+                let done = self.lan_down.send(back_at_edge, resp_size);
+                rec.add_lan_bytes(resp_size);
+                self.edges[idx].inflight.push(done);
+                // cache-only placement fills pure responses stamped with the
+                // edge-local read-unit versions, so sync-applied remote
+                // writes invalidate them
+                let fill = forward_skip_ok
+                    || (placement == Placement::EdgeCacheOnly
+                        && plan.cache.as_ref().is_some_and(|p| p.pure));
+                if let Some(p) = plan.cache.as_ref().filter(|_| fill) {
+                    let edge = &mut self.edges[idx];
+                    let stamp = edge.crdts.versions.snapshot(&p.reads);
+                    edge.cache.fill(p.key.clone(), &response, stamp);
+                }
+                (done, response, done - back_at_edge, back_at_edge - arrive)
+            };
+            let energy = self.mobile.request_energy_j(up, down, wait);
             rec.complete(&response, tr.at, done, energy);
             telemetry.end_span(span, done);
             if self.controller.is_some() {
@@ -2433,8 +2246,8 @@ impl ThreeTierSystem {
                     wait,
                 );
             }
-            if let Some(qi) = quarantine_after {
-                self.quarantine_edge(qi, done);
+            if quarantine {
+                self.quarantine_edge(idx, done);
             }
         }
         // final flush so replicas converge (fault-free runs need at most
@@ -2455,6 +2268,7 @@ impl ThreeTierSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::CacheKey;
     use edgstr_core::{capture_and_transform, EdgStrConfig};
     use serde_json::json;
 
@@ -3336,6 +3150,53 @@ mod tests {
             "healthy replicas must never mismatch"
         );
         assert!(hs.quarantines.is_empty(), "zero false quarantines required");
+    }
+
+    /// The serve step corrupts after absorb and before fill: a faulty
+    /// variant absorbs its write intact, then caches — and keeps serving —
+    /// exactly the corrupted response it produced.
+    #[test]
+    fn faulty_variant_caches_its_corrupted_response() {
+        const SEED: u64 = 0xF1F;
+        let report = transformed();
+        let mut sys = ThreeTierSystem::deploy(
+            APP,
+            &report,
+            &[DeviceSpec::rpi4()],
+            ThreeTierOptions {
+                cache: CachePolicy::All,
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        sys.inject_faulty_variant(0, 1.0, SEED);
+        let count = HttpRequest::get("/count", json!({}));
+        let mut reqs = vec![unique_note(1)];
+        reqs.extend(std::iter::repeat_n(count.clone(), 5));
+        let wl = Workload::constant_rate(&reqs, 10.0, reqs.len());
+        let stats = sys.run(&wl);
+        assert_eq!(stats.completed, reqs.len());
+        // only executions are corrupted: the write and the first read
+        assert_eq!(sys.corrupted_responses(0), 2);
+        assert_eq!(
+            sys.edges[0].crdts.tables["notes"].to_json(),
+            sys.cloud_crdts.tables["notes"].to_json(),
+            "the write's state change is absorbed intact"
+        );
+        let edge = &mut sys.edges[0];
+        assert_eq!(edge.cache.stats().hits, 4, "repeated reads hit");
+        let cached = edge
+            .cache
+            .lookup(&CacheKey::for_request(&count), &edge.crdts.versions)
+            .expect("the read stays cached");
+        let fresh = edge.server.handle(&count).unwrap().response;
+        assert_ne!(cached, fresh, "the cache holds the corrupted response");
+        // replay the corruptor: the write's response, then the first read's
+        let mut replay = BitFlipCorruptor::new(SEED, 1.0);
+        replay.corrupt(&mut HttpResponse::ok(json!({})));
+        let mut corrupted = fresh;
+        replay.corrupt(&mut corrupted);
+        assert_eq!(cached, corrupted);
     }
 
     // --- tier placement controller ---

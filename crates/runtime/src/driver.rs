@@ -15,9 +15,11 @@
 //! response digest) with telemetry off vs on.
 
 use crate::cache::{bump_static_global_writes, CachePolicy, ResponseCache, ServePlan};
-use crate::crdtset::CrdtSet;
+use crate::crdtset::{CrdtSet, SetClock};
 use crate::system::BitFlipCorruptor;
 use edgstr_analysis::{ExecMode, HandleOutcome, InitState, ServerError, ServerProcess};
+use edgstr_core::{CrdtBindings, TransformationReport};
+use edgstr_crdt::ActorId;
 use edgstr_lang::{fnv1a_chain, Program, FNV1A_OFFSET};
 use edgstr_net::{HttpRequest, HttpResponse};
 use edgstr_sim::{Clock, LatencyStats, SimDuration, SimTime};
@@ -276,6 +278,113 @@ pub(crate) fn provision_server(
         materialized(telemetry, crdts.materialize_all(&mut server));
     }
     Ok(server)
+}
+
+/// Which program a provisioned process runs.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Role {
+    /// The original program: the cloud master and its standby.
+    Cloud,
+    /// The generated replica: an edge.
+    Replica,
+}
+
+/// A provisioned process and its CRDT state.
+pub(crate) struct Process {
+    pub(crate) server: ServerProcess,
+    pub(crate) crdts: CrdtSet,
+    /// The peer clock both ends of its sync channels start from: empty for
+    /// a fresh process (the init snapshot is shared), the image's clock
+    /// for one resuming from a save image.
+    pub(crate) resume: SetClock,
+}
+
+/// The three-tier deployment's provisioning template — both programs, the
+/// replica's CRDT bindings and init snapshot — plus the one actor-id
+/// allocator. Every process gets a fresh actor: reusing a retired
+/// incarnation's actor would collide with its already-synced sequence
+/// numbers.
+#[derive(Debug)]
+pub(crate) struct Provisioner {
+    cloud: Program,
+    replica: Program,
+    bindings: CrdtBindings,
+    init: InitState,
+    next_actor: u64,
+    telemetry: Telemetry,
+}
+
+impl Provisioner {
+    pub(crate) fn new(
+        cloud: Program,
+        report: &TransformationReport,
+        telemetry: &Telemetry,
+    ) -> Self {
+        Provisioner {
+            cloud,
+            replica: report.replica.program.clone(),
+            bindings: report.replica.bindings.clone(),
+            init: report.replica.init.clone(),
+            next_actor: 1,
+            telemetry: telemetry.clone(),
+        }
+    }
+
+    pub(crate) fn bindings(&self) -> &CrdtBindings {
+        &self.bindings
+    }
+
+    /// The next unused actor id.
+    pub(crate) fn actor(&mut self) -> ActorId {
+        self.next_actor += 1;
+        ActorId(self.next_actor - 1)
+    }
+
+    /// Fresh CRDT state at the shared init snapshot, under a new actor.
+    pub(crate) fn initial_state(&mut self) -> CrdtSet {
+        CrdtSet::initialize(self.actor(), &self.bindings, &self.init)
+    }
+
+    /// CRDT state loaded from `master`'s save image, under a new actor.
+    pub(crate) fn copy_of(&mut self, master: &CrdtSet) -> CrdtSet {
+        CrdtSet::load(self.actor(), &self.bindings, &master.save())
+            .expect("a save image must round-trip")
+    }
+
+    /// A `role` process resuming from `image`, or a fresh one at the init
+    /// snapshot under a new actor when `image` is `None`.
+    pub(crate) fn process(
+        &mut self,
+        role: Role,
+        image: Option<CrdtSet>,
+    ) -> Result<Process, ServerError> {
+        let program = match role {
+            Role::Cloud => &self.cloud,
+            Role::Replica => &self.replica,
+        };
+        let (mode, init, telemetry) = (ExecMode::default(), &self.init, &self.telemetry);
+        let server = provision_server(program, mode, init, image.as_ref(), telemetry)?;
+        let resume = image.as_ref().map(CrdtSet::clock).unwrap_or_default();
+        let crdts = image.unwrap_or_else(|| self.initial_state());
+        Ok(Process {
+            server,
+            crdts,
+            resume,
+        })
+    }
+
+    /// A diversified shadow variant for the multi-variant check: the
+    /// replica program on the tree-walking engine (replicas serve
+    /// compiled), so an engine-level fault cannot corrupt both variants
+    /// the same way. Built only when `quarantine` is configured.
+    pub(crate) fn shadow(&self, quarantine: bool) -> Result<Option<ServerProcess>, ServerError> {
+        quarantine
+            .then(|| {
+                let (program, mode) = (&self.replica, ExecMode::TreeWalking);
+                provision_server(program, mode, &self.init, None, &self.telemetry)
+            })
+            .transpose()
+    }
 }
 
 /// Handle one request, attributing VM cycles/allocations to source

@@ -14,14 +14,19 @@
 //!   the original client-cloud deployment and the EdgStr-generated
 //!   client-edge-cloud deployment, including failure forwarding to the
 //!   cloud master;
-//! - [`DurableLog`] — the cloud master's O(delta) durable log (base image
-//!   plus append-only delta records), the standby-less recovery source.
+//! - [`ha`] — high availability for the cloud master: warm standby,
+//!   [`DurableLog`] (an O(delta) base image plus delta records), crash
+//!   schedule and failover;
+//! - [`tiering`] — per-service tier placement and its safe mid-run
+//!   transitions;
+//! - [`parallel`] — the wall-clock multi-threaded edge executor.
 
 pub mod balancer;
 pub mod cache;
 pub mod crdtset;
 pub mod driver;
 pub mod durable;
+pub mod ha;
 pub mod parallel;
 pub mod system;
 pub mod tiering;
@@ -34,10 +39,11 @@ pub use cache::{
 pub use crdtset::{CrdtSet, SetChanges, SetClock, SetSyncMessage, SyncEndpoint};
 pub use driver::{FaultPolicy, MobilePower, RunRecorder, RunStats, TimedRequest, Workload};
 pub use durable::DurableLog;
+pub use ha::{HaPolicy, HaStats};
 pub use parallel::{ParallelOptions, ParallelRunStats, ParallelSystem, ReplicaSeed, FAILED_DIGEST};
 pub use system::{
-    BitFlipCorruptor, EdgeReplica, HaPolicy, HaStats, QuarantinePolicy, ThreeTierOptions,
-    ThreeTierSystem, TwoTierSystem,
+    BitFlipCorruptor, EdgeReplica, QuarantinePolicy, ThreeTierOptions, ThreeTierSystem,
+    TwoTierSystem,
 };
 pub use tiering::{
     PendingTransition, PlacementMode, PlacementScript, PlacementStats, ScriptedDecision,

@@ -10,32 +10,25 @@ use crate::balancer::{Autoscaler, BalanceStrategy, LoadBalancer};
 use crate::cache::{
     effect_summaries, CachePolicy, CacheStats, ResponseCache, ServePlan, CACHE_HIT_CYCLES,
 };
-use crate::crdtset::{CrdtSet, SetChanges, SetClock, SyncEndpoint};
+use crate::crdtset::{CrdtSet, SetClock, SyncEndpoint};
 use crate::driver::{
-    handle_profiled, has_effects, materialized, provision_server, serve, Replica, RunRecorder,
+    handle_profiled, has_effects, materialized, serve, Process, Provisioner, Replica, Role,
+    RunRecorder,
 };
 pub use crate::driver::{FaultPolicy, MobilePower, RunStats, TimedRequest, Workload};
-use crate::durable::DurableLog;
-use crate::tiering::{
-    PendingTransition, PlacementMode, PlacementStats, ScriptedDecision, TransitionBarrier,
-    TransitionRecord,
-};
-use edgstr_analysis::{
-    EffectSummary, ExecMode, InitState, ReadUnit, ServerError, ServerProcess, StateUnit,
-};
-use edgstr_core::{CrdtBindings, TransformationReport};
-use edgstr_crdt::{ActorId, AdvanceMode};
-use edgstr_lang::{parse, Program};
-use edgstr_net::{
-    CrashEvent, CrashKind, CrashPlan, FaultPlan, HttpRequest, HttpResponse, LinkChannel, LinkSpec,
-    Verb,
-};
-use edgstr_placement::{Observation, Placement, PlacementController, StaticSignals};
+use crate::ha::{HaAction, HaPolicy, HaStats, HaSupervisor};
+use crate::tiering::{LiveEdges, PlacementMode, PlacementPlane, PlacementStats, ScriptedDecision};
+use edgstr_analysis::{EffectSummary, ReadUnit, ServerError, ServerProcess, StateUnit};
+use edgstr_core::TransformationReport;
+use edgstr_crdt::AdvanceMode;
+use edgstr_lang::parse;
+use edgstr_net::{CrashPlan, FaultPlan, HttpRequest, HttpResponse, LinkChannel, LinkSpec, Verb};
+use edgstr_placement::Placement;
 use edgstr_sim::{Clock, DetRng, Device, DeviceSpec, PowerState, SimDuration, SimTime};
 use edgstr_telemetry::{Counter, SpanId, StmtProfiler, Telemetry, Tier};
 use serde_json::Value as Json;
 use std::cell::RefCell;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
 // ---------------------------------------------------------------------------
@@ -84,17 +77,7 @@ impl TwoTierSystem {
         let mut rec = RunRecorder::with_clock(&telemetry, Clock::virtual_clock());
         let profiler = request_profiler(&telemetry);
         for tr in &workload.requests {
-            let span = if telemetry.is_enabled() {
-                telemetry.start_span_with(
-                    "request",
-                    Tier::Client,
-                    None,
-                    tr.at,
-                    request_attrs(&tr.request),
-                )
-            } else {
-                SpanId::NULL
-            };
+            let span = request_span(&telemetry, &tr.request, tr.at, None);
             let arrive = self.wan_up.send(tr.at, tr.request.size());
             let up = arrive - tr.at;
             match handle_profiled(&mut self.server, &tr.request, &profiler) {
@@ -131,74 +114,29 @@ fn request_profiler(telemetry: &Telemetry) -> Option<Rc<RefCell<StmtProfiler>>> 
     }
 }
 
-/// A diversified shadow variant for the multi-variant check: the same
-/// replica program on the tree-walking engine (the primary serves
-/// compiled), so an engine-level fault cannot corrupt both variants the
-/// same way. Built only when a [`QuarantinePolicy`] is configured.
-fn build_shadow(
-    quarantine: bool,
-    program: &Program,
-    init: &InitState,
+/// Open a client `request` span with verb/path (and routed-edge)
+/// attributes in a single trace-log borrow; the attributes are built only
+/// when telemetry is enabled, keeping the disabled path allocation-free.
+fn request_span(
     telemetry: &Telemetry,
-) -> Result<Option<ServerProcess>, ServerError> {
-    quarantine
-        .then(|| provision_server(program, ExecMode::TreeWalking, init, None, telemetry))
-        .transpose()
-}
-
-/// Verb/path attributes for a request span, built once so the span opens
-/// with them in a single trace-log borrow (enabled mode only — callers
-/// guard with [`Telemetry::is_enabled`] to keep the disabled path
-/// allocation-free).
-fn request_attrs(request: &HttpRequest) -> Vec<(&'static str, Json)> {
-    vec![
+    request: &HttpRequest,
+    at: SimTime,
+    edge: Option<usize>,
+) -> SpanId {
+    if !telemetry.is_enabled() {
+        return SpanId::NULL;
+    }
+    let mut attrs = vec![
         ("verb", Json::from(request.verb.as_str())),
         ("path", Json::from(request.path.as_str())),
-    ]
+    ];
+    attrs.extend(edge.map(|i| ("edge", Json::from(i as u64))));
+    telemetry.start_span_with("request", Tier::Client, None, at, attrs)
 }
 
 // ---------------------------------------------------------------------------
 // Three-tier (EdgStr-transformed) driver
 // ---------------------------------------------------------------------------
-
-/// High-availability policy for the cloud master (§failure & recovery).
-///
-/// With a warm standby, the master replicates every sync delta (and every
-/// forwarded write) to a second cloud replica over the reliable intra-DC
-/// link before the round's acknowledgments go out; a deterministic health
-/// monitor promotes the standby `detect_delay` after a master crash.
-/// `ack_capping` is the zero-acked-write-loss mechanism: acknowledgment
-/// clocks sent to the edges are capped at the durability frontier (what
-/// the standby — or the durable log — provably holds), so no
-/// replica ever compacts state the failover target could be missing.
-#[derive(Debug, Clone)]
-pub struct HaPolicy {
-    /// Run a warm-standby cloud replica and promote it on master crash.
-    pub standby: bool,
-    /// Health-monitor detection delay between master crash and promotion.
-    pub detect_delay: SimDuration,
-    /// Keep a durable log of the master (the recovery source when no
-    /// standby is configured): a base image plus one append-only delta
-    /// record per sync round and per forwarded write, each holding only
-    /// what the master gained since the previous record. The log rebases
-    /// onto a fresh image once its records outgrow the base, so
-    /// persisting costs O(delta) amortized (see [`DurableLog`]).
-    pub durable_saves: bool,
-    /// Cap acks at the durability frontier. Disabling this is the unsafe
-    /// ablation: acked writes can vanish when the master dies.
-    pub ack_capping: bool,
-}
-
-impl Default for HaPolicy {
-    fn default() -> Self {
-        HaPolicy {
-            standby: true,
-            detect_delay: SimDuration::from_millis(500),
-            durable_saves: true,
-            ack_capping: true,
-        }
-    }
-}
 
 /// Multi-variant faulty-replica detection policy.
 ///
@@ -206,7 +144,8 @@ impl Default for HaPolicy {
 /// on a diversified second variant (the tree-walking engine, vs the
 /// compiled primary) fed from the same CRDT state; response digests are
 /// compared. A replica exceeding `mismatch_budget` mismatches is
-/// quarantined, drained, and re-provisioned from the cloud save image.
+/// quarantined: replaced by a fresh incarnation, provisioned as
+/// [`ThreeTierSystem::restart_edge`] does.
 #[derive(Debug, Clone)]
 pub struct QuarantinePolicy {
     /// Fraction of eligible requests shadow-checked (0.0–1.0).
@@ -224,46 +163,6 @@ impl Default for QuarantinePolicy {
             mismatch_budget: 3,
             seed: 0x51A5,
         }
-    }
-}
-
-/// Accumulated failure/recovery observations across a system's lifetime.
-#[derive(Debug, Clone, Default)]
-pub struct HaStats {
-    /// Edge processes crashed (scheduled or manual).
-    pub edge_crashes: u32,
-    /// Edge processes restarted and re-provisioned.
-    pub edge_restarts: u32,
-    /// Cloud-master crashes observed.
-    pub master_crashes: u32,
-    /// Standby promotions performed.
-    pub failovers: u32,
-    /// Master recoveries from the durable log (no standby).
-    pub durable_recoveries: u32,
-    /// `(crash, recovered)` times for each completed master outage.
-    pub outages: Vec<(SimTime, SimTime)>,
-    /// Shadow executions compared against the primary.
-    pub shadow_checks: u64,
-    /// Digest mismatches observed across all replicas.
-    pub shadow_mismatches: u64,
-    /// `(edge index, time)` of each quarantine.
-    pub quarantines: Vec<(usize, SimTime)>,
-    /// Ack clocks snapshotted at every crash (each edge's acked prefix at
-    /// its own crash; every live edge's acked prefix at a master crash).
-    /// The zero-acked-write-loss audit: the final converged master clock
-    /// must dominate every snapshot.
-    pub acked_snapshots: Vec<SetClock>,
-}
-
-impl HaStats {
-    /// Total master unavailability across completed outages.
-    pub fn master_downtime(&self) -> SimDuration {
-        SimDuration(self.outages.iter().map(|(c, r)| r.since(*c).0).sum())
-    }
-
-    /// Recovery time of each completed master outage.
-    pub fn recovery_times(&self) -> Vec<SimDuration> {
-        self.outages.iter().map(|(c, r)| r.since(*c)).collect()
     }
 }
 
@@ -319,117 +218,31 @@ fn flip_first_int(v: &mut Json, bit: u32) -> bool {
     }
 }
 
-/// Telemetry label for a service key: `"GET /path"`.
-fn service_label(key: &(Verb, String)) -> String {
-    format!("{} {}", key.0, key.1)
+/// One edge's circuit breaker over WAN forwarding.
+#[derive(Debug, Default)]
+struct Breaker {
+    /// Consecutive forwarding failures.
+    failures: u32,
+    /// While `Some(t)`, the breaker is open until `t`.
+    open_until: Option<SimTime>,
 }
 
-/// Clamp a requested placement to what the service supports:
-/// `EdgeReplicate` needs the report to have replicated the service;
-/// otherwise the best remaining placement is cache-only (when the profile
-/// is cacheable) or the cloud.
-fn clamp_placement(requested: Placement, replicable: bool, cacheable: bool) -> Placement {
-    match requested {
-        Placement::EdgeReplicate if !replicable => {
-            if cacheable {
-                Placement::EdgeCacheOnly
-            } else {
-                Placement::CloudPin
-            }
-        }
-        p => p,
+impl Breaker {
+    /// See [`ThreeTierSystem::breaker_open`].
+    fn is_open(&self, at: SimTime) -> bool {
+        self.open_until.is_some_and(|until| at < until)
     }
-}
 
-/// Byte footprint of a service's write set in the given CRDT state (the
-/// `edgstr_service_state_bytes` gauge and the controller's static
-/// state-footprint signal).
-fn service_state_bytes(crdts: &CrdtSet, summary: &EffectSummary) -> u64 {
-    let mut bytes = 0u64;
-    for w in &summary.writes {
-        bytes += match w {
-            StateUnit::DbTable(t) => crdts
-                .tables
-                .get(t)
-                .map_or(0, |t| t.to_json().to_string().len() as u64),
-            StateUnit::File(f) => crdts.files.size(f).unwrap_or(0),
-            StateUnit::Global(g) => match crdts.globals.to_json() {
-                Json::Object(m) => m.get(g).map_or(0, |v| v.to_string().len() as u64),
-                _ => 0,
-            },
-        };
-    }
-    bytes
-}
-
-/// Split one sync message's wire bytes across the services that write the
-/// units it carries (equal share per writer), at change-count granularity
-/// — the controller's per-service sync-traffic signal.
-fn attribute_changes(
-    unit_writers: &BTreeMap<StateUnit, Vec<(Verb, String)>>,
-    msg_bytes: u64,
-    changes: &SetChanges,
-    out: &mut Vec<((Verb, String), u64)>,
-) {
-    fn share_out(out: &mut Vec<((Verb, String), u64)>, writers: &[(Verb, String)], bytes: u64) {
-        if writers.is_empty() || bytes == 0 {
-            return;
+    /// Count one forwarding failure; returns the failure count when it
+    /// just opened a closed breaker.
+    fn fail(&mut self, at: SimTime, policy: &FaultPolicy) -> Option<u32> {
+        self.failures += 1;
+        if self.failures < policy.breaker_threshold {
+            return None;
         }
-        let per = bytes / writers.len() as u64;
-        if per > 0 {
-            for w in writers {
-                out.push((w.clone(), per));
-            }
-        }
+        let was_open = self.open_until.replace(at + policy.breaker_cooldown);
+        was_open.is_none().then_some(self.failures)
     }
-    let total = changes.len() as u64;
-    if total == 0 {
-        return;
-    }
-    for (table, ch) in &changes.tables {
-        if let Some(writers) = unit_writers.get(&StateUnit::DbTable(table.clone())) {
-            share_out(out, writers, msg_bytes * ch.len() as u64 / total);
-        }
-    }
-    // file and global changes are not split per unit on the wire; their
-    // byte share goes to every service writing any unit of that kind
-    let kind_writers = |is_kind: &dyn Fn(&StateUnit) -> bool| -> Vec<(Verb, String)> {
-        unit_writers
-            .iter()
-            .filter(|(u, _)| is_kind(u))
-            .flat_map(|(_, w)| w.iter().cloned())
-            .collect::<BTreeSet<_>>()
-            .into_iter()
-            .collect()
-    };
-    if !changes.files.is_empty() {
-        let writers = kind_writers(&|u| matches!(u, StateUnit::File(_)));
-        share_out(
-            out,
-            &writers,
-            msg_bytes * changes.files.len() as u64 / total,
-        );
-    }
-    if !changes.globals.is_empty() {
-        let writers = kind_writers(&|u| matches!(u, StateUnit::Global(_)));
-        share_out(
-            out,
-            &writers,
-            msg_bytes * changes.globals.len() as u64 / total,
-        );
-    }
-}
-
-/// The warm-standby cloud replica and its intra-DC replication channel.
-#[derive(Debug)]
-struct CloudStandby {
-    server: ServerProcess,
-    crdts: CrdtSet,
-    /// Master-side endpoint: its `peer_clock` is what the standby has
-    /// acknowledged — the durability frontier under [`HaPolicy`].
-    master_link: SyncEndpoint,
-    /// Standby-side endpoint.
-    standby_link: SyncEndpoint,
 }
 
 /// One deployed edge replica.
@@ -439,16 +252,16 @@ pub struct EdgeReplica {
     pub device: Device,
     pub crdts: CrdtSet,
     pub to_cloud: SyncEndpoint,
+    /// The cloud master's end of this edge's channel: its `peer_clock` is
+    /// what this edge has acknowledged.
+    from_cloud: SyncEndpoint,
     /// Read-set-versioned response cache (validated against
     /// `crdts.versions` on every lookup).
     pub cache: ResponseCache,
     inflight: Vec<SimTime>,
     active: bool,
     crashed: bool,
-    /// Consecutive forwarding failures (breaker input, per edge).
-    breaker_failures: u32,
-    /// While `Some(t)`, this edge's breaker is open until `t`.
-    breaker_open_until: Option<SimTime>,
+    breaker: Breaker,
     /// Diversified shadow variant (tree-walking engine) for the
     /// multi-variant check, when a [`QuarantinePolicy`] is configured.
     shadow: Option<ServerProcess>,
@@ -459,6 +272,38 @@ pub struct EdgeReplica {
 }
 
 impl EdgeReplica {
+    /// A live replica process on `device`, deployed or restarted. The
+    /// device and its cache outlive a crash, but the cache is emptied: a
+    /// fresh `CrdtSet`'s version counters restart at zero, and stale
+    /// entries must not revalidate against them. Everything else belongs
+    /// to the incarnation and starts clean — a closed breaker (the dead
+    /// incarnation's open state would only delay recovery), no injected
+    /// fault, a full mismatch budget.
+    fn new(
+        process: Process,
+        shadow: Option<ServerProcess>,
+        device: Device,
+        mut cache: ResponseCache,
+        mode: AdvanceMode,
+    ) -> Self {
+        cache.clear();
+        EdgeReplica {
+            server: process.server,
+            device,
+            crdts: process.crdts,
+            to_cloud: SyncEndpoint::resuming(mode, process.resume.clone()),
+            from_cloud: SyncEndpoint::resuming(mode, process.resume),
+            cache,
+            inflight: Vec::new(),
+            active: true,
+            crashed: false,
+            breaker: Breaker::default(),
+            shadow,
+            corruptor: None,
+            shadow_mismatches: 0,
+        }
+    }
+
     /// This edge's serving state for one request, with its shadow variant
     /// when `shadow` (the request was sampled for the multi-variant check).
     fn replica(&mut self, shadow: bool) -> Replica<'_> {
@@ -469,6 +314,18 @@ impl EdgeReplica {
             corruptor: self.corruptor.as_mut(),
             shadow: self.shadow.as_mut().filter(|_| shadow),
         }
+    }
+
+    /// Take the process down: it loses all volatile state and serves
+    /// nothing further. Returns its acked prefix.
+    pub(crate) fn crash(&mut self) -> SetClock {
+        self.crashed = true;
+        self.active = false;
+        self.inflight.clear();
+        // the cache dies with the process: a rejoined edge must never
+        // serve responses stamped with pre-crash version vectors
+        self.cache.clear();
+        self.to_cloud.peer_clock.clone()
     }
 
     fn prune(&mut self, now: SimTime) {
@@ -483,6 +340,21 @@ impl EdgeReplica {
     /// Whether the replica is down (crashed, not merely parked).
     pub fn is_crashed(&self) -> bool {
         self.crashed
+    }
+}
+
+/// Each live edge's acked prefix: what the cloud acknowledged to it.
+pub(crate) fn live_acked(edges: &[EdgeReplica]) -> Vec<SetClock> {
+    let live = edges.iter().filter(|e| !e.crashed);
+    live.map(|e| e.to_cloud.peer_clock.clone()).collect()
+}
+
+/// The live edges' clocks, for the placement plane's barriers and audit.
+fn live_edges(edges: &[EdgeReplica]) -> LiveEdges {
+    let live = edges.iter().filter(|e| !e.crashed);
+    LiveEdges {
+        clocks: live.map(|e| e.crdts.clock()).collect(),
+        acked: live_acked(edges),
     }
 }
 
@@ -560,17 +432,24 @@ impl Default for ThreeTierOptions {
     }
 }
 
+impl ThreeTierOptions {
+    /// Whether the fault plan drops the WAN message `from` → `to` at `at`.
+    fn drops(&mut self, from: &str, to: &str, at: SimTime) -> bool {
+        self.faults
+            .as_mut()
+            .is_some_and(|p| p.should_drop(from, to, at))
+    }
+}
+
 /// The EdgStr-generated three-tier deployment.
 #[derive(Debug)]
 pub struct ThreeTierSystem {
     pub cloud: ServerProcess,
     pub cloud_device: Device,
     pub cloud_crdts: CrdtSet,
-    cloud_endpoints: Vec<SyncEndpoint>,
     pub edges: Vec<EdgeReplica>,
     pub options: ThreeTierOptions,
     balancer: LoadBalancer,
-    replicated: BTreeSet<(Verb, String)>,
     /// Cloud-side response cache for forwarded requests.
     cloud_cache: ResponseCache,
     /// Per-service effect summaries from profiling — the cache's read/write
@@ -584,54 +463,12 @@ pub struct ThreeTierSystem {
     wan_down: LinkChannel,
     /// Jitter stream for retry backoff (forked from the policy seed).
     jitter: DetRng,
-    /// Replica template kept for crash/restart re-deployment.
-    replica_program: Program,
-    replica_bindings: CrdtBindings,
-    replica_init: InitState,
-    /// Next fresh actor id handed to a restarted replica (reusing a
-    /// crashed incarnation's actor would collide with its sequence
-    /// numbers).
-    next_actor: u64,
-    /// Original cloud program, kept so standbys and recovered masters can
-    /// be re-provisioned.
-    cloud_program: Program,
-    /// The warm standby, when the HA policy runs one.
-    standby: Option<CloudStandby>,
-    /// The master is currently crashed: sync rounds no-op and forwards
-    /// fail until promotion or durable recovery.
-    cloud_down: bool,
-    /// Scheduled promotion time (master crash + detect delay).
-    pending_promotion: Option<SimTime>,
-    /// Time-ordered crash schedule drained by [`ThreeTierSystem::advance_ha`].
-    crash_events: Vec<CrashEvent>,
-    crash_cursor: usize,
-    /// Edge restarts that arrived while the master was down; re-provisioned
-    /// at the next promotion/recovery.
-    deferred_restarts: Vec<usize>,
-    /// The master's durable log (when the policy keeps durable saves).
-    durable: Option<DurableLog>,
+    /// Templates and actor ids for every later (re-)provisioning.
+    provisioner: Provisioner,
     /// Sampling stream for the multi-variant check.
     shadow_rng: DetRng,
-    ha_stats: HaStats,
-    /// Effective per-service placement; routing consults this on every
-    /// request. Under the default [`PlacementMode::ReportStatic`] it is
-    /// exactly the report's replicated set (replicated → `EdgeReplicate`,
-    /// everything else → `CloudPin`).
-    placements: BTreeMap<(Verb, String), Placement>,
-    /// The autonomous controller ([`PlacementMode::Adaptive`] only).
-    controller: Option<PlacementController>,
-    /// Decided transitions waiting on their clock-domination barriers.
-    pending_transitions: Vec<PendingTransition>,
-    /// Scripted decision schedule, time-ordered, with a replay cursor.
-    script: Vec<ScriptedDecision>,
-    script_cursor: usize,
-    /// Static write-unit → writer-services map for attributing sync bytes
-    /// to services (controller telemetry).
-    unit_writers: BTreeMap<StateUnit, Vec<(Verb, String)>>,
-    /// Cycles the cloud spent on the last forwarded execution (cache hits
-    /// count [`CACHE_HIT_CYCLES`]) — the controller's cost estimate input.
-    last_forward_cycles: u64,
-    placement_stats: PlacementStats,
+    ha: HaSupervisor,
+    placement: PlacementPlane,
     /// Next background sync tick, persistent across [`ThreeTierSystem::run`]
     /// calls so multi-phase workloads never replay control-plane ticks at
     /// already-processed virtual times.
@@ -658,476 +495,75 @@ impl ThreeTierSystem {
             plan.set_telemetry(options.telemetry.clone());
         }
         let cloud_program = parse(cloud_source).map_err(|e| ServerError::Parse(e.to_string()))?;
-        let (program, bindings, init) = (
-            &report.replica.program,
-            &report.replica.bindings,
-            &report.replica.init,
-        );
         let telemetry = &options.telemetry;
-        let cloud = provision_server(&cloud_program, ExecMode::default(), init, None, telemetry)?;
-        let cloud_crdts = CrdtSet::initialize(ActorId(1), bindings, init);
-        let fresh_endpoint = || SyncEndpoint::resuming(options.sync_advance, SetClock::default());
+        let mut provisioner = Provisioner::new(cloud_program, report, telemetry);
+        let master = provisioner.process(Role::Cloud, None)?;
+        let mode = options.sync_advance;
         let mut edges = Vec::new();
-        for (i, spec) in edge_devices.iter().enumerate() {
-            let server = provision_server(program, ExecMode::default(), init, None, telemetry)?;
-            let crdts = CrdtSet::initialize(ActorId(2 + i as u64), bindings, init);
-            let shadow = build_shadow(options.quarantine.is_some(), program, init, telemetry)?;
-            edges.push(EdgeReplica {
-                server,
-                device: Device::new(spec.clone()),
-                crdts,
-                to_cloud: fresh_endpoint(),
-                cache: ResponseCache::new(options.cache_budget_bytes, telemetry),
-                inflight: Vec::new(),
-                active: true,
-                crashed: false,
-                breaker_failures: 0,
-                breaker_open_until: None,
-                shadow,
-                corruptor: None,
-                shadow_mismatches: 0,
-            });
+        for spec in edge_devices {
+            let process = provisioner.process(Role::Replica, None)?;
+            let shadow = provisioner.shadow(options.quarantine.is_some())?;
+            let cache = ResponseCache::new(options.cache_budget_bytes, telemetry);
+            let device = Device::new(spec.clone());
+            edges.push(EdgeReplica::new(process, shadow, device, cache, mode));
         }
-        let cloud_endpoints = (0..edges.len()).map(|_| fresh_endpoint()).collect();
-        let balancer = LoadBalancer::new(options.balance);
-        let jitter = DetRng::new(options.policy.jitter_seed);
-        let mut next_actor = 2 + edges.len() as u64;
-        // warm standby: a second cloud replica initialized from the same
-        // snapshot, continuously fed over the reliable intra-DC link
-        let standby = if options.ha.as_ref().is_some_and(|h| h.standby) {
-            let server =
-                provision_server(&cloud_program, ExecMode::default(), init, None, telemetry)?;
-            let crdts = CrdtSet::initialize(ActorId(next_actor), bindings, init);
-            next_actor += 1;
-            Some(CloudStandby {
-                server,
-                crdts,
-                master_link: SyncEndpoint::new(),
-                standby_link: SyncEndpoint::new(),
-            })
-        } else {
-            None
-        };
-        let durable = if options.ha.as_ref().is_some_and(|h| h.durable_saves) {
-            Some(DurableLog::new(&cloud_crdts, telemetry))
-        } else {
-            None
-        };
-        let crash_events = options
-            .crashes
-            .as_ref()
-            .map(|p| p.events().to_vec())
-            .unwrap_or_default();
-        let shadow_rng = DetRng::new(options.quarantine.as_ref().map_or(0, |q| q.seed));
-        let effects = effect_summaries(report);
+        let ha = HaSupervisor::new(&options, &master.crdts, &mut provisioner)?;
+        let effects = Rc::new(effect_summaries(report));
         let cloud_cache = ResponseCache::new(options.cache_budget_bytes, telemetry);
-        let replicated: BTreeSet<(Verb, String)> =
-            report.replica.replicated.iter().cloned().collect();
-        // every profiled or replicated service gets an explicit placement
-        let service_keys: BTreeSet<(Verb, String)> = effects
-            .keys()
-            .cloned()
-            .chain(replicated.iter().cloned())
-            .collect();
-        let natural = |key: &(Verb, String)| {
-            if replicated.contains(key) {
-                Placement::EdgeReplicate
-            } else {
-                Placement::CloudPin
-            }
-        };
-        let mut placements = BTreeMap::new();
-        for key in &service_keys {
-            let p = match &options.placement {
-                PlacementMode::ReportStatic | PlacementMode::Adaptive(_) => natural(key),
-                PlacementMode::Pinned(p) => clamp_placement(
-                    *p,
-                    replicated.contains(key),
-                    effects.get(key).is_some_and(|s| s.cacheable),
-                ),
-                PlacementMode::Scripted(script) => script.pinned.map_or(natural(key), |p| {
-                    clamp_placement(
-                        p,
-                        replicated.contains(key),
-                        effects.get(key).is_some_and(|s| s.cacheable),
-                    )
-                }),
-            };
-            placements.insert(key.clone(), p);
-        }
-        let controller = if let PlacementMode::Adaptive(policy) = &options.placement {
-            // offered-demand utilization is measured against the cluster's
-            // aggregate edge compute
-            let edge_cores: f64 = edges.iter().map(|e| f64::from(e.device.spec.cores)).sum();
-            let mut c = PlacementController::new(policy.clone(), edge_cores.max(1.0));
-            for key in &service_keys {
-                let signals = effects.get(key).map_or_else(
-                    || StaticSignals {
-                        replicable: replicated.contains(key),
-                        ..StaticSignals::default()
-                    },
-                    |s| {
-                        StaticSignals::from_summary(
-                            s,
-                            replicated.contains(key),
-                            service_state_bytes(&cloud_crdts, s),
-                        )
-                    },
-                );
-                c.register(key.clone(), signals, placements[key]);
-            }
-            Some(c)
-        } else {
-            None
-        };
-        let mut script = match &options.placement {
-            PlacementMode::Scripted(s) => s.decisions.clone(),
-            _ => Vec::new(),
-        };
-        script.sort_by_key(|d| d.at);
-        let mut unit_writers: BTreeMap<StateUnit, Vec<(Verb, String)>> = BTreeMap::new();
-        for (key, summary) in &effects {
-            for w in &summary.writes {
-                unit_writers.entry(w.clone()).or_default().push(key.clone());
-            }
-        }
-        let mut sys = ThreeTierSystem {
-            cloud,
-            cloud_device: Device::new(DeviceSpec::cloud_server()),
-            cloud_crdts,
-            cloud_endpoints,
+        let cloud_device = Device::new(DeviceSpec::cloud_server());
+        let edge_cores = edges.iter().map(|e| f64::from(e.device.spec.cores)).sum();
+        let placement = PlacementPlane::new(
+            report,
+            Rc::clone(&effects),
+            &options,
+            &master.crdts,
+            &cloud_device.spec,
+            edge_cores,
+        );
+        Ok(ThreeTierSystem {
+            cloud: master.server,
+            cloud_device,
+            cloud_crdts: master.crdts,
             edges,
-            balancer,
+            balancer: LoadBalancer::new(options.balance),
             lan_up: LinkChannel::new(options.lan),
             lan_down: LinkChannel::new(options.lan),
             wan_up: LinkChannel::new(options.wan),
             wan_down: LinkChannel::new(options.wan),
-            jitter,
-            replica_program: report.replica.program.clone(),
-            replica_bindings: report.replica.bindings.clone(),
-            replica_init: report.replica.init.clone(),
-            next_actor,
-            cloud_program,
-            standby,
-            cloud_down: false,
-            pending_promotion: None,
-            crash_events,
-            crash_cursor: 0,
-            deferred_restarts: Vec::new(),
-            durable,
-            shadow_rng,
-            ha_stats: HaStats::default(),
+            jitter: DetRng::new(options.policy.jitter_seed),
+            provisioner,
+            shadow_rng: DetRng::new(options.quarantine.as_ref().map_or(0, |q| q.seed)),
+            ha,
+            placement,
             next_sync: SimTime::ZERO + options.sync_interval,
             options,
-            replicated,
             cloud_cache,
-            effects: Rc::new(effects),
+            effects,
             mobile: MobilePower::default(),
-            placements,
-            controller,
-            pending_transitions: Vec::new(),
-            script,
-            script_cursor: 0,
-            unit_writers,
-            last_forward_cycles: 0,
-            placement_stats: PlacementStats::default(),
-        };
-        sys.emit_initial_placements();
-        Ok(sys)
-    }
-
-    /// `placement.pin` events and initial placement gauges for every
-    /// service at deploy time.
-    fn emit_initial_placements(&mut self) {
-        let telemetry = self.options.telemetry.clone();
-        if !telemetry.is_enabled() {
-            return;
-        }
-        for (key, p) in &self.placements {
-            telemetry.event(
-                "placement.pin",
-                Tier::System,
-                None,
-                SimTime::ZERO,
-                &[
-                    ("service", Json::from(service_label(key))),
-                    ("to", Json::from(p.as_str())),
-                ],
-            );
-        }
-        if let Some(reg) = telemetry.registry() {
-            for (key, p) in &self.placements {
-                reg.gauge(
-                    "edgstr_placement_state",
-                    &[("service", &service_label(key))],
-                )
-                .set(f64::from(p.rank()));
-            }
-        }
+        })
     }
 
     /// The effective placement routing uses for `key` right now (pending
     /// transitions have not happened yet).
     pub fn placement_of(&self, key: &(Verb, String)) -> Placement {
-        self.placements
-            .get(key)
-            .copied()
-            .unwrap_or(Placement::CloudPin)
+        self.placement.placement_of(key)
     }
 
     /// Accumulated placement decisions and completed transitions.
     pub fn placement_stats(&self) -> &PlacementStats {
-        &self.placement_stats
+        self.placement.stats()
     }
 
     /// Transitions decided but still waiting on their clock barriers.
     pub fn pending_transition_count(&self) -> usize {
-        self.pending_transitions.len()
+        self.placement.pending_count()
     }
 
     /// The decision schedule recorded so far — replayable verbatim as
     /// [`PlacementScript::decisions`][crate::PlacementScript] for a
     /// digest-parity reference run.
     pub fn decision_schedule(&self) -> Vec<ScriptedDecision> {
-        self.placement_stats.decided.clone()
-    }
-
-    /// Placement control-plane step at a sync tick: replay due scripted
-    /// decisions, run the adaptive controller over the windows that just
-    /// closed, then apply any transition whose barrier is met.
-    fn placement_tick(&mut self, at: SimTime) {
-        while self
-            .script
-            .get(self.script_cursor)
-            .is_some_and(|d| d.at <= at)
-        {
-            let d = self.script[self.script_cursor].clone();
-            self.script_cursor += 1;
-            self.begin_transition(d.service, d.to, d.at, "scripted");
-        }
-        let decisions = match self.controller.as_mut() {
-            Some(c) => c.tick(at),
-            None => Vec::new(),
-        };
-        for d in decisions {
-            self.begin_transition(d.service, d.to, d.at, d.reason.as_str());
-        }
-        if self.controller.is_some() {
-            self.publish_placement_gauges();
-        }
-        self.apply_ready_transitions(at);
-    }
-
-    /// Queue one placement transition. A decision made while an earlier
-    /// transition of the same service is still draining chains off that
-    /// transition's target, preserving per-service FIFO order.
-    fn begin_transition(
-        &mut self,
-        service: (Verb, String),
-        to: Placement,
-        at: SimTime,
-        reason: &str,
-    ) {
-        let cacheable = self.effects.get(&service).is_some_and(|s| s.cacheable);
-        let to = clamp_placement(to, self.replicated.contains(&service), cacheable);
-        let from = self
-            .pending_transitions
-            .iter()
-            .rev()
-            .find(|t| t.service == service)
-            .map(|t| t.to)
-            .unwrap_or_else(|| self.placement_of(&service));
-        if from == to {
-            return;
-        }
-        self.placement_stats.decided.push(ScriptedDecision {
-            at,
-            service: service.clone(),
-            to,
-        });
-        let barrier = if to == Placement::EdgeReplicate {
-            // promotion warm-up: local serving starts only once every live
-            // edge has observed at least this cloud snapshot
-            TransitionBarrier::EdgesDominate(self.cloud_crdts.clock())
-        } else if from == Placement::EdgeReplicate {
-            // demotion drain: keep serving locally until the cloud holds
-            // every edge delta that existed at decision time
-            TransitionBarrier::CloudDominates(
-                self.edges
-                    .iter()
-                    .filter(|e| !e.crashed)
-                    .map(|e| e.crdts.clock())
-                    .collect(),
-            )
-        } else {
-            TransitionBarrier::Immediate
-        };
-        self.pending_transitions.push(PendingTransition {
-            service,
-            from,
-            to,
-            decided_at: at,
-            reason: reason.to_string(),
-            barrier,
-        });
-    }
-
-    /// Apply every pending transition whose barrier is met, in decision
-    /// order per service (a later transition never overtakes an earlier
-    /// one that is still draining).
-    fn apply_ready_transitions(&mut self, at: SimTime) {
-        if self.pending_transitions.is_empty() {
-            return;
-        }
-        let cloud_clock = self.cloud_crdts.clock();
-        let mut blocked: BTreeSet<(Verb, String)> = BTreeSet::new();
-        let mut i = 0;
-        while i < self.pending_transitions.len() {
-            let t = &self.pending_transitions[i];
-            let ready = !blocked.contains(&t.service)
-                && match &t.barrier {
-                    TransitionBarrier::Immediate => true,
-                    TransitionBarrier::EdgesDominate(snap) => self
-                        .edges
-                        .iter()
-                        .filter(|e| !e.crashed)
-                        .all(|e| e.crdts.clock().dominates(snap)),
-                    TransitionBarrier::CloudDominates(snaps) => {
-                        snaps.iter().all(|s| cloud_clock.dominates(s))
-                    }
-                };
-            if ready {
-                let t = self.pending_transitions.remove(i);
-                self.complete_transition(t, at);
-            } else {
-                blocked.insert(self.pending_transitions[i].service.clone());
-                i += 1;
-            }
-        }
-    }
-
-    /// Flip the effective placement, record the transition, snapshot the
-    /// acked prefixes for the write-loss audit, and emit telemetry.
-    fn complete_transition(&mut self, t: PendingTransition, at: SimTime) {
-        self.placements.insert(t.service.clone(), t.to);
-        let promote = t.to.rank() > t.from.rank();
-        if promote {
-            self.placement_stats.promotes += 1;
-        } else {
-            self.placement_stats.demotes += 1;
-        }
-        // audit point for zero acked-write loss: the final converged
-        // master clock must dominate every live edge's acked prefix as it
-        // stood at the flip
-        self.placement_stats.acked_snapshots.extend(
-            self.edges
-                .iter()
-                .filter(|e| !e.crashed)
-                .map(|e| e.to_cloud.peer_clock.clone()),
-        );
-        let telemetry = self.options.telemetry.clone();
-        if telemetry.is_enabled() {
-            telemetry.event(
-                if promote {
-                    "placement.promote"
-                } else {
-                    "placement.demote"
-                },
-                Tier::System,
-                None,
-                at,
-                &[
-                    ("service", Json::from(service_label(&t.service))),
-                    ("from", Json::from(t.from.as_str())),
-                    ("to", Json::from(t.to.as_str())),
-                    ("reason", Json::from(t.reason.clone())),
-                ],
-            );
-            if let Some(reg) = telemetry.registry() {
-                reg.gauge(
-                    "edgstr_placement_state",
-                    &[("service", &service_label(&t.service))],
-                )
-                .set(f64::from(t.to.rank()));
-            }
-        }
-        self.placement_stats.transitions.push(TransitionRecord {
-            service: t.service,
-            from: t.from,
-            to: t.to,
-            decided_at: t.decided_at,
-            completed_at: at,
-            reason: t.reason,
-        });
-    }
-
-    /// Per-service controller gauges: effective placement rank, window
-    /// read ratio, and live state-byte footprint.
-    fn publish_placement_gauges(&self) {
-        let telemetry = &self.options.telemetry;
-        let Some(reg) = telemetry.registry() else {
-            return;
-        };
-        let Some(c) = self.controller.as_ref() else {
-            return;
-        };
-        for (key, _, summary) in c.snapshot() {
-            let label = service_label(&key);
-            reg.gauge("edgstr_placement_state", &[("service", &label)])
-                .set(f64::from(self.placement_of(&key).rank()));
-            reg.gauge("edgstr_service_read_ratio", &[("service", &label)])
-                .set(summary.read_ratio);
-            let state_bytes = self
-                .effects
-                .get(&key)
-                .map_or(0, |s| service_state_bytes(&self.cloud_crdts, s));
-            reg.gauge("edgstr_service_state_bytes", &[("service", &label)])
-                .set(state_bytes as f64);
-        }
-    }
-
-    /// Feed one completed request into the adaptive controller's window,
-    /// with matched actual/estimated costs for both serving paths. The
-    /// local-demand estimate is always the *unloaded* edge compute time,
-    /// so post-demotion utilization keeps reflecting offered demand rather
-    /// than queueing feedback.
-    fn observe_placement(
-        &mut self,
-        key: &(Verb, String),
-        idx: usize,
-        cache_hit: bool,
-        forwarded: bool,
-        cycles: u64,
-        wait: SimDuration,
-    ) {
-        if self.controller.is_none() {
-            return;
-        }
-        let write = self.effects.get(key).is_some_and(|s| !s.pure);
-        let local_est = self.edges[idx].device.spec.service_time(cycles);
-        let forward_est = SimDuration(
-            self.options.wan.latency.0 * 2 + self.cloud_device.spec.service_time(cycles).0,
-        );
-        let obs = if forwarded {
-            Observation {
-                write,
-                cache_hit,
-                local_us: local_est.0,
-                forward_us: wait.0,
-                local_demand_us: local_est.0,
-            }
-        } else {
-            Observation {
-                write,
-                cache_hit,
-                local_us: wait.0,
-                forward_us: forward_est.0,
-                local_demand_us: local_est.0,
-            }
-        };
-        if let Some(c) = self.controller.as_mut() {
-            c.observe(key, obs);
-        }
+        self.placement.stats().decided.clone()
     }
 
     /// Lifetime hit/miss/eviction/invalidation counts aggregated over the
@@ -1149,7 +585,7 @@ impl ThreeTierSystem {
     /// snapshots (unless [`ThreeTierOptions::compaction`] is off).
     pub fn sync_round(&mut self, at: SimTime) -> usize {
         self.advance_ha(at);
-        if self.cloud_down {
+        if self.ha.master_down() {
             // no master: nothing to exchange until promotion/recovery
             return 0;
         }
@@ -1158,11 +594,9 @@ impl ThreeTierSystem {
         // intra-DC first: the standby ingests this round's state before any
         // acknowledgment goes out, so the durability frontier below already
         // reflects it
-        self.replicate_to_standby();
-        let cap = self.durability_clock();
+        self.ha.replicate(&mut self.cloud_crdts, &mut self.cloud);
+        let cap = self.ha.durability_clock();
         let mut bytes = 0;
-        let attribute = self.controller.is_some();
-        let mut attributed: Vec<((Verb, String), u64)> = Vec::new();
         for (i, edge) in self.edges.iter_mut().enumerate() {
             if edge.crashed {
                 continue;
@@ -1172,53 +606,29 @@ impl ThreeTierSystem {
             let msg = edge.to_cloud.generate(&edge.crdts);
             if !msg.changes.is_empty() {
                 bytes += msg.wire_size();
-                if attribute {
-                    attribute_changes(
-                        &self.unit_writers,
-                        msg.wire_size() as u64,
-                        &msg.changes,
-                        &mut attributed,
-                    );
-                }
+                self.placement
+                    .observe_sync(msg.wire_size() as u64, &msg.changes);
             }
-            let dropped = self
-                .options
-                .faults
-                .as_mut()
-                .is_some_and(|p| p.should_drop(&edge_name, "cloud", at));
-            if !dropped {
-                let applied = self.cloud_endpoints[i].receive_owned(
-                    &mut self.cloud_crdts,
-                    &mut self.cloud,
-                    msg,
-                );
+            if !self.options.drops(&edge_name, "cloud", at) {
+                let applied =
+                    edge.from_cloud
+                        .receive_owned(&mut self.cloud_crdts, &mut self.cloud, msg);
                 materialized(&telemetry, applied);
             }
             // cloud -> edge (cloud_state message). Under HA the ack clock
             // is capped at the durability frontier: the edge may only
             // treat as acknowledged (and later compact) what the failover
             // target provably holds.
-            let mut msg = self.cloud_endpoints[i].generate(&self.cloud_crdts);
+            let mut msg = edge.from_cloud.generate(&self.cloud_crdts);
             if let Some(cap) = &cap {
                 msg.ack = msg.ack.meet(cap);
             }
             if !msg.changes.is_empty() {
                 bytes += msg.wire_size();
-                if attribute {
-                    attribute_changes(
-                        &self.unit_writers,
-                        msg.wire_size() as u64,
-                        &msg.changes,
-                        &mut attributed,
-                    );
-                }
+                self.placement
+                    .observe_sync(msg.wire_size() as u64, &msg.changes);
             }
-            let dropped = self
-                .options
-                .faults
-                .as_mut()
-                .is_some_and(|p| p.should_drop("cloud", &edge_name, at));
-            if !dropped {
+            if !self.options.drops("cloud", &edge_name, at) {
                 let applied = edge
                     .to_cloud
                     .receive_owned(&mut edge.crdts, &mut edge.server, msg);
@@ -1229,7 +639,7 @@ impl ThreeTierSystem {
         // round's pre-ack replication; persist after the exchanges so
         // recovery resumes from this round's state, and before compaction
         // so the durable log never misses a change compaction folds
-        self.persist_durable();
+        self.ha.persist(&self.cloud_crdts);
         if self.options.compaction {
             let folded = self.compact_acked();
             if let Some(reg) = telemetry.registry() {
@@ -1248,14 +658,8 @@ impl ThreeTierSystem {
                 }
             }
         }
-        if let Some(c) = self.controller.as_mut() {
-            for (key, b) in attributed {
-                c.observe_sync_bytes(&key, b);
-            }
-        }
-        if !self.pending_transitions.is_empty() {
-            self.apply_ready_transitions(at);
-        }
+        self.placement
+            .settle(at, &self.cloud_crdts, || live_edges(&self.edges));
         if telemetry.is_enabled() {
             telemetry.span_attr(span, "bytes", Json::from(bytes as u64));
         }
@@ -1270,30 +674,27 @@ impl ThreeTierSystem {
     /// ([`crate::crdtset::SetClock::meet`]) of every live edge's ack clock:
     /// a change is folded only once *all* live peers have acknowledged it.
     /// Crashed edges are excluded from the meet — a restarted replica
-    /// re-provisions from the cloud's compacted save
-    /// ([`ThreeTierSystem::restart_edge`]) instead of replaying history, so
-    /// nothing it missed is ever needed again. Each edge's only sync peer
-    /// is the cloud, so its frontier is the cloud's ack clock directly.
+    /// re-provisions from a save image ([`ThreeTierSystem::restart_edge`])
+    /// instead of replaying history, so nothing it missed is ever needed
+    /// again. Each edge's only sync peer is the cloud, so its frontier is
+    /// the cloud's ack clock directly.
     pub fn compact_acked(&mut self) -> usize {
         let mut dropped = 0;
         let mut live = self
             .edges
             .iter()
-            .enumerate()
-            .filter(|(_, e)| !e.crashed)
-            .map(|(i, _)| &self.cloud_endpoints[i].peer_clock);
+            .filter(|e| !e.crashed)
+            .map(|e| &e.from_cloud.peer_clock);
         if let Some(first) = live.next() {
             let mut frontier = live.fold(first.clone(), |acc, clock| acc.meet(clock));
             // under HA the master also keeps everything its failover
             // target might still need: a recovered/promoted cloud must be
             // able to re-serve the tail above the durability frontier
-            if let Some(cap) = self.durability_clock() {
+            if let Some(cap) = self.ha.durability_clock() {
                 frontier = frontier.meet(&cap);
             }
             dropped += self.cloud_crdts.compact(&frontier);
-            if let Some(sb) = self.standby.as_mut() {
-                dropped += sb.crdts.compact(&frontier);
-            }
+            dropped += self.ha.compact_standby(&frontier);
         }
         for edge in self.edges.iter_mut().filter(|e| !e.crashed) {
             dropped += edge.crdts.compact(&edge.to_cloud.peer_clock);
@@ -1337,119 +738,88 @@ impl ThreeTierSystem {
     /// Crash an edge replica: it loses all volatile state, stops serving,
     /// and stops syncing until [`ThreeTierSystem::restart_edge`].
     pub fn crash_edge(&mut self, i: usize) {
-        let e = &mut self.edges[i];
-        e.crashed = true;
-        e.active = false;
-        e.inflight.clear();
-        // the cache dies with the process: a rejoined edge must never
-        // serve responses stamped with pre-crash version vectors
-        e.cache.clear();
-        let acked = e.to_cloud.peer_clock.clone();
-        self.ha_stats.edge_crashes += 1;
-        self.ha_stats.acked_snapshots.push(acked);
+        self.ha.crash_edge(&mut self.edges[i]);
     }
 
-    /// Restart a crashed edge: a fresh server is provisioned from the cloud
-    /// master's current save image (snapshot + retained tail) under a
-    /// brand-new actor id, so the replica rejoins without the cloud
-    /// replaying its full change history — compaction may long since have
-    /// folded the prefix the crashed incarnation was missing. Both sync
-    /// endpoints start acknowledged up to the provisioning clock; only
-    /// changes after the image travel on subsequent rounds. The crashed
-    /// incarnation's actor id is retired (reusing it would collide with
-    /// already-synced sequence numbers).
+    /// Restart a crashed edge: a fresh server is provisioned from a save
+    /// image under a brand-new actor id, so the replica rejoins without the
+    /// cloud replaying its full change history — compaction may long since
+    /// have folded the prefix the crashed incarnation was missing. Under
+    /// HA the image is the durability frontier (the standby's state, else
+    /// the durable log); without HA it is the cloud master's current save
+    /// image. Both sync endpoints start acknowledged up to the image's
+    /// clock; only changes after it travel on subsequent rounds.
     ///
     /// # Errors
     ///
     /// Propagates replica init failures.
     pub fn restart_edge(&mut self, i: usize) -> Result<(), ServerError> {
-        let actor = ActorId(self.next_actor);
-        self.next_actor += 1;
-        // Under HA the provisioning image is the durability frontier (the
-        // standby's state, or the durable log): an image ahead of it
-        // would bake unacked changes into the fresh snapshot, where a
-        // post-failover master could never recover them as changes.
-        // Anything between the frontier and the master's head reaches the
-        // rejoined edge through normal sync.
-        let bindings = &self.replica_bindings;
-        let crdts = match (&self.standby, &self.durable) {
-            (Some(sb), _) => CrdtSet::load(actor, bindings, &sb.crdts.save()),
-            (None, Some(log)) => log.recover(actor, bindings),
-            (None, None) => CrdtSet::load(actor, bindings, &self.cloud_crdts.save()),
-        }
-        .expect("cloud save image must round-trip");
-        let (program, init) = (&self.replica_program, &self.replica_init);
-        let telemetry = &self.options.telemetry;
-        let server = provision_server(program, ExecMode::default(), init, Some(&crdts), telemetry)?;
-        let shadow = build_shadow(self.options.quarantine.is_some(), program, init, telemetry)?;
-        let provisioned = crdts.clock();
+        let master = &self.cloud_crdts;
+        let image = self
+            .ha
+            .recovery_image(&mut self.provisioner, |p| p.copy_of(master));
+        let process = self.provisioner.process(Role::Replica, Some(image))?;
+        let shadow = self.provisioner.shadow(self.options.quarantine.is_some())?;
         let mode = self.options.sync_advance;
-        let e = &mut self.edges[i];
-        e.server = server;
-        e.crdts = crdts;
-        e.to_cloud = SyncEndpoint::resuming(mode, provisioned.clone());
-        e.inflight.clear();
-        e.crashed = false;
-        e.active = true;
-        // the fresh CrdtSet's version counters restart at zero; stale
-        // entries must not revalidate against them
-        e.cache.clear();
-        // a restarted process gets a fresh breaker: the pre-crash open
-        // state belonged to the dead incarnation and would only delay
-        // recovery
-        e.breaker_failures = 0;
-        e.breaker_open_until = None;
-        // the replacement VM starts healthy: fresh shadow variant, no
-        // injected fault, clean mismatch budget
-        e.shadow = shadow;
-        e.corruptor = None;
-        e.shadow_mismatches = 0;
-        // the cloud resumes from the image's clock: nothing below it is
-        // ever re-sent
-        self.cloud_endpoints[i] = SyncEndpoint::resuming(mode, provisioned);
-        self.ha_stats.edge_restarts += 1;
+        let EdgeReplica { device, cache, .. } = self.edges.remove(i);
+        let edge = EdgeReplica::new(process, shadow, device, cache, mode);
+        self.edges.insert(i, edge);
+        self.ha.stats_mut().edge_restarts += 1;
         Ok(())
+    }
+
+    /// Restart + catch-up telemetry for a scheduled edge rejoin.
+    fn rejoin_edge(&mut self, i: usize, at: SimTime) {
+        self.restart_edge(i)
+            .expect("replica template re-provisions cleanly");
+        self.options.telemetry.event(
+            "rejoin.catchup",
+            Tier::Edge,
+            None,
+            at,
+            &[("edge", Json::from(i as u64))],
+        );
+    }
+
+    /// Apply every HA transition due at or before `now`, in time order
+    /// ([`HaSupervisor::next_action`]).
+    fn advance_ha(&mut self, now: SimTime) {
+        while let Some(action) = self.ha.next_action(
+            now,
+            &mut self.edges,
+            &self.cloud_crdts,
+            &mut self.provisioner,
+        ) {
+            match action {
+                HaAction::RejoinEdge(i, at) => self.rejoin_edge(i, at),
+                HaAction::InstallMaster { master, rejoin, at } => {
+                    // The new master has never spoken to the edges (what
+                    // each edge acked was in the dead master's memory), so
+                    // every sync channel restarts from scratch — resending
+                    // the retained tail is idempotent — and the cloud
+                    // cache, stamped with the dead master's version
+                    // counters, is dropped.
+                    (self.cloud, self.cloud_crdts) = *master;
+                    let mode = self.options.sync_advance;
+                    for e in &mut self.edges {
+                        e.from_cloud = SyncEndpoint::resuming(mode, SetClock::default());
+                    }
+                    self.cloud_cache.clear();
+                    for i in rejoin {
+                        if self.edges[i].crashed {
+                            self.rejoin_edge(i, at);
+                        }
+                    }
+                }
+            }
+        }
     }
 
     /// Whether edge `idx`'s circuit breaker blocks WAN forwarding at `at`.
     /// After the cooldown the breaker is half-open: the next forward is the
     /// probe that closes it (success) or re-opens it (failure).
     pub fn breaker_open(&self, idx: usize, at: SimTime) -> bool {
-        self.edges[idx]
-            .breaker_open_until
-            .is_some_and(|until| at < until)
-    }
-
-    fn record_forward_success(&mut self, idx: usize) {
-        let e = &mut self.edges[idx];
-        e.breaker_failures = 0;
-        e.breaker_open_until = None;
-    }
-
-    fn record_forward_failure(&mut self, idx: usize, at: SimTime) {
-        let threshold = self.options.policy.breaker_threshold;
-        let cooldown = self.options.policy.breaker_cooldown;
-        let e = &mut self.edges[idx];
-        e.breaker_failures += 1;
-        if e.breaker_failures >= threshold {
-            let was_open = e.breaker_open_until.is_some();
-            e.breaker_open_until = Some(at + cooldown);
-            if !was_open {
-                self.options.telemetry.event(
-                    "breaker.open",
-                    Tier::Edge,
-                    None,
-                    at,
-                    &[
-                        ("edge", Json::from(idx as u64)),
-                        (
-                            "failures",
-                            Json::from(self.edges[idx].breaker_failures as u64),
-                        ),
-                    ],
-                );
-            }
-        }
+        self.edges[idx].breaker.is_open(at)
     }
 
     /// Whether every state unit the request touches is CRDT-bound on the
@@ -1457,7 +827,7 @@ impl ThreeTierSystem {
     /// a digest mismatch can only mean a faulty variant — never a benign
     /// divergence on unreplicated state.
     fn shadow_checkable(&self, summary: &EffectSummary) -> bool {
-        let b = &self.replica_bindings;
+        let b = self.provisioner.bindings();
         let read_ok = summary.reads.iter().all(|r| match r {
             ReadUnit::Table(t) | ReadUnit::TableKeyed { table: t, .. } => b.tables.contains(t),
             ReadUnit::File(f) => b.files.contains(f),
@@ -1504,11 +874,12 @@ impl ThreeTierSystem {
         span: SpanId,
         at: SimTime,
     ) -> bool {
-        self.ha_stats.shadow_checks += 1;
+        let stats = self.ha.stats_mut();
+        stats.shadow_checks += 1;
         if !mismatch {
             return false;
         }
-        self.ha_stats.shadow_mismatches += 1;
+        stats.shadow_mismatches += 1;
         self.edges[idx].shadow_mismatches += 1;
         self.options.telemetry.event(
             "shadow.mismatch",
@@ -1525,9 +896,10 @@ impl ThreeTierSystem {
         self.edges[idx].shadow_mismatches > budget
     }
 
-    /// Quarantine edge `i`: drain it, drop its caches, and re-provision a
-    /// replacement from the cloud save image. The replacement starts with
-    /// a clean mismatch budget and no injected fault.
+    /// Quarantine edge `i`: replace the faulty incarnation with a freshly
+    /// provisioned one ([`ThreeTierSystem::restart_edge`]) that serves
+    /// nothing of the old one's, with a clean mismatch budget and no
+    /// injected fault.
     fn quarantine_edge(&mut self, i: usize, at: SimTime) {
         self.options.telemetry.event(
             "quarantine.open",
@@ -1542,312 +914,19 @@ impl ThreeTierSystem {
                 ),
             ],
         );
-        self.ha_stats.quarantines.push((i, at));
-        // drain: the faulty incarnation serves nothing further
-        let e = &mut self.edges[i];
-        e.active = false;
-        e.inflight.clear();
-        e.cache.clear();
-        e.crashed = true;
+        self.ha.stats_mut().quarantines.push((i, at));
         self.restart_edge(i)
             .expect("re-provisioning a quarantined replica must succeed");
     }
 
-    /// The durability frontier under ack capping: what the failover target
-    /// (standby, else durable log) provably holds. `None` disables
-    /// capping (no HA, or the unsafe ablation).
-    fn durability_clock(&self) -> Option<SetClock> {
-        if !self.options.ha.as_ref()?.ack_capping {
-            return None;
-        }
-        if let Some(sb) = &self.standby {
-            return Some(sb.master_link.peer_clock.clone());
-        }
-        self.durable.as_ref().map(|log| log.frontier().clone())
-    }
-
-    /// One reliable intra-DC replication exchange: master delta to the
-    /// standby, standby acknowledgment back. Advances the durability
-    /// frontier ([`ThreeTierSystem::durability_clock`]).
-    fn replicate_to_standby(&mut self) {
-        if let Some(sb) = self.standby.as_mut() {
-            let telemetry = &self.options.telemetry;
-            let msg = sb.master_link.generate(&self.cloud_crdts);
-            let applied = sb
-                .standby_link
-                .receive_owned(&mut sb.crdts, &mut sb.server, msg);
-            materialized(telemetry, applied);
-            let ack = sb.standby_link.generate(&sb.crdts);
-            let applied = sb
-                .master_link
-                .receive_owned(&mut self.cloud_crdts, &mut self.cloud, ack);
-            materialized(telemetry, applied);
-        }
-    }
-
-    /// Append the master's progress to the durable log (when the policy
-    /// keeps one) — the recovery source for a standby-less restart.
-    fn persist_durable(&mut self) {
-        if let Some(log) = self.durable.as_mut() {
-            log.append(&self.cloud_crdts);
-        }
-    }
-
-    /// Apply every crash-schedule event (and any pending promotion) with
-    /// time at or before `now`, in time order. Idempotent; called from the
-    /// run loop, sync rounds, and each forward attempt so transitions take
-    /// effect exactly at their virtual times.
-    fn advance_ha(&mut self, now: SimTime) {
-        loop {
-            let next_crash = self
-                .crash_events
-                .get(self.crash_cursor)
-                .filter(|e| e.at <= now)
-                .map(|e| e.at);
-            let promo = self.pending_promotion.filter(|t| *t <= now);
-            match (next_crash, promo) {
-                (Some(c), Some(p)) if p <= c => self.promote_standby(p),
-                (Some(_), _) => {
-                    let ev = self.crash_events[self.crash_cursor].clone();
-                    self.crash_cursor += 1;
-                    self.apply_crash_event(&ev);
-                }
-                (None, Some(p)) => self.promote_standby(p),
-                (None, None) => return,
-            }
-        }
-    }
-
-    fn apply_crash_event(&mut self, ev: &CrashEvent) {
-        let telemetry = self.options.telemetry.clone();
-        if ev.node == "cloud" {
-            let Some(ha) = self.options.ha.clone() else {
-                // without an HA policy the master is not crashable
-                return;
-            };
-            match ev.kind {
-                CrashKind::Down => {
-                    if self.cloud_down {
-                        return;
-                    }
-                    self.cloud_down = true;
-                    self.ha_stats.master_crashes += 1;
-                    // audit point: everything the old master ever acked is
-                    // bounded by what the edges saw — snapshot it
-                    let acked: Vec<SetClock> = self
-                        .edges
-                        .iter()
-                        .filter(|e| !e.crashed)
-                        .map(|e| e.to_cloud.peer_clock.clone())
-                        .collect();
-                    self.ha_stats.acked_snapshots.extend(acked);
-                    telemetry.event("crash.cloud", Tier::Cloud, None, ev.at, &[]);
-                    if self.standby.is_some() {
-                        // deterministic health monitor: promote after the
-                        // detection delay
-                        self.pending_promotion = Some(ev.at + ha.detect_delay);
-                    }
-                }
-                CrashKind::Up => {
-                    if self.cloud_down {
-                        // no standby was available: recover from the
-                        // durable log (or cold-start from init)
-                        self.recover_master_durable(ev.at);
-                    } else {
-                        // a standby was already promoted; the returning
-                        // process becomes the new standby
-                        if ha.standby {
-                            self.provision_standby(ev.at);
-                        }
-                    }
-                }
-            }
-            return;
-        }
-        let Some(i) = ev
-            .node
-            .strip_prefix("edge")
-            .and_then(|s| s.parse::<usize>().ok())
-            .filter(|i| *i < self.edges.len())
-        else {
-            return;
-        };
-        match ev.kind {
-            CrashKind::Down => {
-                if !self.edges[i].crashed {
-                    self.crash_edge(i);
-                    telemetry.event(
-                        "crash.edge",
-                        Tier::Edge,
-                        None,
-                        ev.at,
-                        &[("edge", Json::from(i as u64))],
-                    );
-                }
-            }
-            CrashKind::Up => {
-                if self.edges[i].crashed {
-                    if self.cloud_down {
-                        // nothing to provision from while the master is
-                        // down; rejoin at the next promotion/recovery
-                        self.deferred_restarts.push(i);
-                    } else {
-                        self.rejoin_edge(i, ev.at);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Restart + catch-up telemetry for a scheduled edge rejoin.
-    fn rejoin_edge(&mut self, i: usize, at: SimTime) {
-        self.restart_edge(i)
-            .expect("replica template re-provisions cleanly");
-        self.options.telemetry.event(
-            "rejoin.catchup",
-            Tier::Edge,
-            None,
-            at,
-            &[("edge", Json::from(i as u64))],
-        );
-    }
-
-    /// Promote the warm standby to master: edges re-home to it on their
-    /// next sync round / forward retry. The new master has never spoken to
-    /// the edges, so every sync channel restarts from scratch — resending
-    /// the retained tail is idempotent.
-    fn promote_standby(&mut self, at: SimTime) {
-        self.pending_promotion = None;
-        let Some(sb) = self.standby.take() else {
-            return;
-        };
-        self.install_master(sb.server, sb.crdts);
-        self.persist_durable();
-        self.ha_stats.failovers += 1;
-        if let Some(crashed_at) = self.last_open_outage() {
-            self.ha_stats.outages.push((crashed_at, at));
-        }
-        self.options.telemetry.event(
-            "failover.promote",
-            Tier::Cloud,
-            None,
-            at,
-            &[("failovers", Json::from(self.ha_stats.failovers as u64))],
-        );
-        self.restart_deferred(at);
-    }
-
-    /// Recover a standby-less master from the durable log (or, with
-    /// durable saves disabled — the ablation — cold-start from the init
-    /// snapshot, losing everything since deploy). The recovered master is
-    /// a new incarnation, so its first persist rebases the log.
-    fn recover_master_durable(&mut self, at: SimTime) {
-        let actor = ActorId(self.next_actor);
-        self.next_actor += 1;
-        let crdts = match &self.durable {
-            Some(log) => log
-                .recover(actor, &self.replica_bindings)
-                .expect("durable log must replay"),
-            None => CrdtSet::initialize(actor, &self.replica_bindings, &self.replica_init),
-        };
-        let server = self
-            .provision_cloud(&crdts)
-            .expect("cloud init re-runs cleanly");
-        self.install_master(server, crdts);
-        self.ha_stats.durable_recoveries += 1;
-        if let Some(crashed_at) = self.last_open_outage() {
-            self.ha_stats.outages.push((crashed_at, at));
-        }
-        self.options
-            .telemetry
-            .event("failover.recover", Tier::Cloud, None, at, &[]);
-        self.restart_deferred(at);
-    }
-
-    /// Provision a fresh warm standby from the current master's save image
-    /// (the returning ex-master process after a failover).
-    fn provision_standby(&mut self, at: SimTime) {
-        let actor = ActorId(self.next_actor);
-        self.next_actor += 1;
-        let image = self.cloud_crdts.save();
-        let crdts = CrdtSet::load(actor, &self.replica_bindings, &image)
-            .expect("master image must round-trip");
-        let server = self
-            .provision_cloud(&crdts)
-            .expect("cloud init re-runs cleanly");
-        let clock = crdts.clock();
-        self.standby = Some(CloudStandby {
-            server,
-            crdts,
-            master_link: SyncEndpoint::resuming(AdvanceMode::OnAck, clock.clone()),
-            standby_link: SyncEndpoint::resuming(AdvanceMode::OnAck, clock),
-        });
-        self.options
-            .telemetry
-            .event("standby.provision", Tier::Cloud, None, at, &[]);
-    }
-
-    /// A cloud-program server resuming from `image`.
-    fn provision_cloud(&self, image: &CrdtSet) -> Result<ServerProcess, ServerError> {
-        let (program, init) = (&self.cloud_program, &self.replica_init);
-        provision_server(
-            program,
-            ExecMode::default(),
-            init,
-            Some(image),
-            &self.options.telemetry,
-        )
-    }
-
-    /// Make a promoted standby or a recovered process the cloud master.
-    /// It has never spoken to the edges (what each edge acked was in the
-    /// dead master's memory), so every sync channel restarts from scratch
-    /// — resending the retained tail is idempotent — and the cloud cache,
-    /// stamped with the dead master's version counters, is dropped.
-    fn install_master(&mut self, server: ServerProcess, crdts: CrdtSet) {
-        self.cloud = server;
-        self.cloud_crdts = crdts;
-        self.cloud_down = false;
-        let mode = self.options.sync_advance;
-        for ep in &mut self.cloud_endpoints {
-            *ep = SyncEndpoint::resuming(mode, SetClock::default());
-        }
-        self.cloud_cache.clear();
-    }
-
-    /// The crash time of the outage currently missing its recovery entry.
-    fn last_open_outage(&self) -> Option<SimTime> {
-        // master_crashes counts crashes; outages counts recoveries — the
-        // open outage is the crash event not yet paired
-        if (self.ha_stats.outages.len() as u32) < self.ha_stats.master_crashes {
-            self.crash_events[..self.crash_cursor]
-                .iter()
-                .rev()
-                .find(|e| e.node == "cloud" && e.kind == CrashKind::Down)
-                .map(|e| e.at)
-        } else {
-            None
-        }
-    }
-
-    /// Re-provision edges whose scheduled restart arrived while the master
-    /// was down.
-    fn restart_deferred(&mut self, at: SimTime) {
-        for i in std::mem::take(&mut self.deferred_restarts) {
-            if self.edges[i].crashed {
-                self.rejoin_edge(i, at);
-            }
-        }
-    }
-
     /// Accumulated failure/recovery observations.
     pub fn ha_stats(&self) -> &HaStats {
-        &self.ha_stats
+        self.ha.stats()
     }
 
     /// Whether the cloud master is currently down.
     pub fn master_down(&self) -> bool {
-        self.cloud_down
+        self.ha.master_down()
     }
 
     /// Inject the bit-flipping faulty VM variant into edge `i`'s serving
@@ -1860,6 +939,35 @@ impl ThreeTierSystem {
     /// Responses corrupted so far by edge `i`'s injected faulty variant.
     pub fn corrupted_responses(&self, i: usize) -> u64 {
         self.edges[i].corruptor.as_ref().map_or(0, |c| c.flips)
+    }
+
+    /// Prune finished connections and, under an autoscaler, park or unpark
+    /// replicas to match the in-flight demand at `now`.
+    fn autoscale(&mut self, now: SimTime, rec: &mut RunRecorder) {
+        for e in self.edges.iter_mut() {
+            e.prune(now);
+        }
+        let Some(scaler) = self.options.autoscaler else {
+            return;
+        };
+        let inflight: usize = self.edges.iter().map(EdgeReplica::connections).sum();
+        let desired = scaler.desired(inflight.max(1), self.edges.len());
+        for (i, e) in self.edges.iter_mut().enumerate() {
+            let (state, event) = if i < desired && !e.active && !e.crashed {
+                (PowerState::Idle, "replica.unpark")
+            } else if i >= desired && e.active && e.connections() == 0 {
+                (PowerState::LowPower, "replica.park")
+            } else {
+                continue;
+            };
+            e.active = i < desired;
+            e.device.set_power_state(state, now);
+            let attrs = [("edge", Json::from(i as u64))];
+            self.options
+                .telemetry
+                .event(event, Tier::Edge, None, now, &attrs);
+        }
+        rec.replica_sample(now, self.edges.iter().filter(|e| e.active).count());
     }
 
     /// The tail of every request served on edge `idx` — a cache hit or a
@@ -1878,13 +986,13 @@ impl ThreeTierSystem {
         rec: &mut RunRecorder,
     ) -> (SimTime, SimTime) {
         let telemetry = &self.options.telemetry;
-        if self.breaker_open(idx, arrive) {
+        let edge = &mut self.edges[idx];
+        if edge.breaker.is_open(arrive) {
             // still served locally; deltas queue until the WAN heals
             rec.degraded();
             telemetry.event("degraded.local_serve", Tier::Edge, Some(span), arrive, &[]);
         }
         let serve_span = telemetry.start_span("serve", Tier::Edge, Some(span), arrive);
-        let edge = &mut self.edges[idx];
         let (_, finish) = edge.device.schedule_work(arrive, cycles);
         telemetry.end_span(serve_span, finish);
         let done = self.lan_down.send(finish, resp_size);
@@ -1898,7 +1006,8 @@ impl ThreeTierSystem {
 
     /// Forward one request to the cloud with bounded retries, exponential
     /// backoff and seeded jitter, under the run's fault plan and deadline.
-    /// Returns `Some((time_back_at_edge, response_bytes))` on success. The
+    /// Returns `Some((time_back_at_edge, response, cloud_cycles))` on
+    /// success, where a cloud cache hit charges [`CACHE_HIT_CYCLES`]. The
     /// cloud executes the request at most once: if only the response is
     /// lost, retries retransmit the response rather than re-running the
     /// handler (the proxy holds the connection, §II-B).
@@ -1910,51 +1019,39 @@ impl ThreeTierSystem {
         rec: &mut RunRecorder,
         span: SpanId,
         plan: &ServePlan<'_>,
-    ) -> Option<(SimTime, HttpResponse)> {
+    ) -> Option<(SimTime, HttpResponse, u64)> {
         let telemetry = self.options.telemetry.clone();
         let policy = self.options.policy.clone();
         let edge_name = format!("edge{idx}");
         let req_size = request.size();
         let deadline = arrive + policy.forward_deadline;
-        // `Some` once the cloud has executed: (compute finish, response)
-        let mut executed: Option<(SimTime, HttpResponse)> = None;
+        // `Some` once the cloud has executed: (compute finish, response,
+        // cycles)
+        let mut executed: Option<(SimTime, HttpResponse, u64)> = None;
         let mut t = arrive;
         let mut attempt: u32 = 0;
         loop {
             // scheduled crashes/promotions that elapsed before this attempt
             self.advance_ha(t);
-            if let Some((finish, response)) = &executed {
+            // when there is a response to send: (send time, judge time)
+            let response_leg = if let Some((finish, ..)) = &executed {
                 // only the response was lost: retransmit it. The executed
                 // marker and response travel with the replicated
                 // connection state (the write itself was shipped to the
                 // standby before the ack), so retransmission stalls while
                 // the master is down and resumes after promotion instead
                 // of re-running the handler.
-                let (finish, resp_size) = (*finish, response.size());
-                let back = self.wan_down.send(t.max(finish), resp_size);
-                rec.add_wan_request_bytes(resp_size);
-                let dropped = self
-                    .options
-                    .faults
-                    .as_mut()
-                    .is_some_and(|p| p.should_drop("cloud", &edge_name, t));
-                if !dropped && !self.cloud_down {
-                    self.record_forward_success(idx);
-                    return executed.map(|(_, r)| (back, r));
-                }
+                Some((t.max(*finish), t))
             } else {
                 let cloud_arrive = self.wan_up.send(t, req_size);
                 rec.add_wan_request_bytes(req_size);
-                let dropped = self
-                    .options
-                    .faults
-                    .as_mut()
-                    .is_some_and(|p| p.should_drop(&edge_name, "cloud", t));
                 // The request is judged against the fault plan even while
                 // the master is down so the per-link drop streams stay
                 // aligned with a crash-free run; a dead master simply
                 // never answers.
-                if !dropped && !self.cloud_down {
+                if self.options.drops(&edge_name, "cloud", t) || self.ha.master_down() {
+                    None
+                } else {
                     // Cloud-side cache: a hit skips only the handler — the
                     // WAN message sequence (request judged above, response
                     // judged below) is identical to the execute path, so
@@ -1976,53 +1073,48 @@ impl ThreeTierSystem {
                             };
                             let Ok(served) = serve(cloud, request, plan, &None) else {
                                 // application error: the WAN worked, no retry
-                                self.record_forward_success(idx);
+                                self.edges[idx].breaker = Breaker::default();
                                 return None;
                             };
-                            // A client-acked forwarded write must survive
-                            // failover: ship it to the standby / durable
-                            // log before the ack returns.
-                            if has_effects(&served.out) && self.options.ha.is_some() {
-                                self.replicate_to_standby();
-                                self.persist_durable();
+                            if has_effects(&served.out) {
+                                self.ha.secure_write(&mut self.cloud_crdts, &mut self.cloud);
                             }
                             (served.out.cycles, served.out.response)
                         }
                     };
                     let serve_span =
                         telemetry.start_span("serve", Tier::Cloud, Some(span), cloud_arrive);
-                    self.last_forward_cycles = cycles;
                     let (_, finish) = self.cloud_device.schedule_work(cloud_arrive, cycles);
                     telemetry.end_span(serve_span, finish);
-                    let resp_size = response.size();
-                    executed = Some((finish, response));
-                    let back = self.wan_down.send(finish, resp_size);
-                    rec.add_wan_request_bytes(resp_size);
-                    let resp_dropped = self
-                        .options
-                        .faults
-                        .as_mut()
-                        .is_some_and(|p| p.should_drop("cloud", &edge_name, finish));
-                    if !resp_dropped {
-                        self.record_forward_success(idx);
-                        return executed.map(|(_, r)| (back, r));
-                    }
+                    executed = Some((finish, response, cycles));
+                    Some((finish, finish))
+                }
+            };
+            if let (Some((send_at, judge_at)), Some((_, response, _))) = (response_leg, &executed) {
+                let resp_size = response.size();
+                let back = self.wan_down.send(send_at, resp_size);
+                rec.add_wan_request_bytes(resp_size);
+                if !self.options.drops("cloud", &edge_name, judge_at) && !self.ha.master_down() {
+                    self.edges[idx].breaker = Breaker::default();
+                    return executed.map(|(_, r, cycles)| (back, r, cycles));
                 }
             }
             // this attempt failed in transit: back off, maybe retry
-            if attempt >= policy.max_retries {
-                rec.timed_out();
-                telemetry.event("forward.timeout", Tier::Edge, Some(span), t, &[]);
-                self.record_forward_failure(idx, t);
-                return None;
-            }
-            let backoff_us = policy.backoff_base.0 << attempt;
-            let jitter_us = self.jitter.below(policy.backoff_base.0.max(1));
-            let next = t + SimDuration(backoff_us + jitter_us);
-            if next > deadline {
+            let next = if attempt < policy.max_retries {
+                let backoff_us = policy.backoff_base.0 << attempt;
+                let jitter_us = self.jitter.below(policy.backoff_base.0.max(1));
+                t + SimDuration(backoff_us + jitter_us)
+            } else {
+                t
+            };
+            if attempt >= policy.max_retries || next > deadline {
                 rec.timed_out();
                 telemetry.event("forward.timeout", Tier::Edge, Some(span), next, &[]);
-                self.record_forward_failure(idx, next);
+                if let Some(failures) = self.edges[idx].breaker.fail(next, &policy) {
+                    let failures = Json::from(u64::from(failures));
+                    let attrs = [("edge", Json::from(idx as u64)), ("failures", failures)];
+                    telemetry.event("breaker.open", Tier::Edge, None, next, &attrs);
+                }
                 return None;
             }
             attempt += 1;
@@ -2061,45 +1153,13 @@ impl ThreeTierSystem {
             while !self.options.synchronous_sync && self.next_sync <= now {
                 let tick = self.next_sync;
                 rec.add_wan_sync_bytes(self.sync_round(tick));
-                self.placement_tick(tick);
+                self.placement
+                    .tick(tick, &self.cloud_crdts, || live_edges(&self.edges));
                 self.next_sync += self.options.sync_interval;
             }
             // scheduled crashes / restarts / promotions that elapsed
             self.advance_ha(now);
-            // autoscaler: adjust active replica set
-            for e in self.edges.iter_mut() {
-                e.prune(now);
-            }
-            if let Some(scaler) = self.options.autoscaler {
-                let inflight: usize = self.edges.iter().map(EdgeReplica::connections).sum();
-                let desired = scaler.desired(inflight.max(1), self.edges.len());
-                for (i, e) in self.edges.iter_mut().enumerate() {
-                    let should_be_active = i < desired;
-                    if should_be_active && !e.active && !e.is_crashed() {
-                        e.active = true;
-                        e.device.set_power_state(PowerState::Idle, now);
-                        telemetry.event(
-                            "replica.unpark",
-                            Tier::Edge,
-                            None,
-                            now,
-                            &[("edge", Json::from(i as u64))],
-                        );
-                    } else if !should_be_active && e.active && e.connections() == 0 {
-                        e.active = false;
-                        e.device.set_power_state(PowerState::LowPower, now);
-                        telemetry.event(
-                            "replica.park",
-                            Tier::Edge,
-                            None,
-                            now,
-                            &[("edge", Json::from(i as u64))],
-                        );
-                    }
-                }
-                let active = self.edges.iter().filter(|e| e.active).count();
-                rec.replica_sample(now, active);
-            }
+            self.autoscale(now, &mut rec);
             // route to an edge
             let connections: Vec<usize> = self.edges.iter().map(EdgeReplica::connections).collect();
             let active: Vec<bool> = self.edges.iter().map(|e| e.active).collect();
@@ -2110,24 +1170,11 @@ impl ThreeTierSystem {
                 telemetry.end_span(span, now);
                 continue;
             };
-            let span = if telemetry.is_enabled() {
-                if let Some(c) = routed.get(idx) {
-                    c.inc();
-                }
-                telemetry.start_span_with(
-                    "request",
-                    Tier::Client,
-                    None,
-                    now,
-                    vec![
-                        ("verb", Json::from(tr.request.verb.as_str())),
-                        ("path", Json::from(tr.request.path.as_str())),
-                        ("edge", Json::from(idx as u64)),
-                    ],
-                )
-            } else {
-                SpanId::NULL
-            };
+            // empty unless telemetry is enabled
+            if let Some(c) = routed.get(idx) {
+                c.inc();
+            }
+            let span = request_span(&telemetry, &tr.request, now, Some(idx));
             let req_size = tr.request.size();
             let lan_arrive = self.lan_up.send(now, req_size);
             let up = lan_arrive - now;
@@ -2135,7 +1182,7 @@ impl ThreeTierSystem {
             let wake = self.edges[idx].device.wake_penalty();
             let arrive = lan_arrive + wake;
             let key = (tr.request.verb, tr.request.path.clone());
-            let placement = self.placement_of(&key);
+            let placement = self.placement.placement_of(&key);
             let local = placement == Placement::EdgeReplicate;
             let plan = ServePlan::resolve(&effects, self.options.cache, &key, &tr.request);
             // A forwarded service may be served from the edge cache only
@@ -2180,19 +1227,18 @@ impl ThreeTierSystem {
                 None => None,
             };
             let served_forwarded = local_served.is_none();
-            let served_cycles;
             // set when this request's digest mismatch exhausts the budget;
             // acted on after the response is recorded
             let mut quarantine = false;
-            let (done, response, down, wait) = if let Some((response, cycles, shadow)) =
+            // `ready`: the response is ready to leave the edge
+            let (ready, done, response, served_cycles) = if let Some((response, cycles, shadow)) =
                 local_served
             {
-                served_cycles = cycles;
                 let (finish, done) =
                     self.respond_from_edge(idx, arrive, cycles, response.size(), span, &mut rec);
                 quarantine = shadow
                     .is_some_and(|mismatch| self.record_shadow_check(idx, mismatch, span, finish));
-                (done, response, done - finish, finish - arrive)
+                (finish, done, response, cycles)
             } else {
                 // failure forwarding: the edge proxies the request to the
                 // cloud master over the WAN (§II-B)
@@ -2206,7 +1252,7 @@ impl ThreeTierSystem {
                     continue;
                 }
                 let fwd = telemetry.start_span("forward", Tier::Edge, Some(span), arrive);
-                let Some((back_at_edge, response)) =
+                let Some((back_at_edge, response, cycles)) =
                     self.forward_to_cloud(idx, &tr.request, arrive, &mut rec, fwd, &plan)
                 else {
                     telemetry.end_span(fwd, arrive);
@@ -2214,38 +1260,32 @@ impl ThreeTierSystem {
                     telemetry.end_span(span, arrive);
                     continue;
                 };
-                served_cycles = self.last_forward_cycles;
                 telemetry.end_span(fwd, back_at_edge);
                 let resp_size = response.size();
                 let done = self.lan_down.send(back_at_edge, resp_size);
                 rec.add_lan_bytes(resp_size);
-                self.edges[idx].inflight.push(done);
-                // cache-only placement fills pure responses stamped with the
-                // edge-local read-unit versions, so sync-applied remote
-                // writes invalidate them
+                let edge = &mut self.edges[idx];
+                edge.inflight.push(done);
+                // cache-only placement fills pure responses stamped with
+                // the edge-local read-unit versions, so sync-applied
+                // remote writes invalidate them
                 let fill = forward_skip_ok
                     || (placement == Placement::EdgeCacheOnly
                         && plan.cache.as_ref().is_some_and(|p| p.pure));
                 if let Some(p) = plan.cache.as_ref().filter(|_| fill) {
-                    let edge = &mut self.edges[idx];
                     let stamp = edge.crdts.versions.snapshot(&p.reads);
                     edge.cache.fill(p.key.clone(), &response, stamp);
                 }
-                (done, response, done - back_at_edge, back_at_edge - arrive)
+                (back_at_edge, done, response, cycles)
             };
-            let energy = self.mobile.request_energy_j(up, down, wait);
+            let wait = ready - arrive;
+            let energy = self.mobile.request_energy_j(up, done - ready, wait);
             rec.complete(&response, tr.at, done, energy);
             telemetry.end_span(span, done);
-            if self.controller.is_some() {
-                self.observe_placement(
-                    &key,
-                    idx,
-                    was_cache_hit,
-                    served_forwarded,
-                    served_cycles,
-                    wait,
-                );
-            }
+            let edge = &self.edges[idx].device.spec;
+            let (hit, fwd) = (was_cache_hit, served_forwarded);
+            self.placement
+                .observe(&key, edge, hit, fwd, served_cycles, wait);
             if quarantine {
                 self.quarantine_edge(idx, done);
             }
@@ -3041,6 +2081,57 @@ mod tests {
             stats, quiet,
             "durable-log telemetry must not touch RunStats"
         );
+    }
+
+    /// Without a standby, a crashed edge restarts from the durable log:
+    /// the cluster reconverges, every acked write survives, and telemetry
+    /// leaves `RunStats` untouched.
+    #[test]
+    fn durable_only_edge_restart_reconverges() {
+        let report = transformed();
+        let run = |telemetry: Telemetry| {
+            let mut crashes = CrashPlan::new(11);
+            crashes.crash(
+                "edge1",
+                SimTime::from_secs_f64(1.5),
+                SimTime::from_secs_f64(3.5),
+            );
+            let mut sys = ThreeTierSystem::deploy(
+                APP,
+                &report,
+                &[DeviceSpec::rpi4(), DeviceSpec::rpi3()],
+                ThreeTierOptions {
+                    crashes: Some(crashes),
+                    ha: Some(HaPolicy {
+                        standby: false,
+                        ..HaPolicy::default()
+                    }),
+                    telemetry,
+                    ..Default::default()
+                },
+            )
+            .unwrap();
+            let reqs: Vec<HttpRequest> = (0..40).map(unique_note).collect();
+            let stats = sys.run(&Workload::constant_rate(&reqs, 10.0, 40));
+            (sys, stats)
+        };
+        let (mut sys, stats) = run(Telemetry::recording());
+        assert_eq!(sys.ha_stats().edge_crashes, 1);
+        assert_eq!(sys.ha_stats().edge_restarts, 1);
+        sys.sync_until_converged(stats.makespan, 20)
+            .expect("cluster must reconverge after the restart");
+        let cloud_rows = sys.cloud_crdts.tables["notes"].to_json();
+        for e in &sys.edges {
+            assert_eq!(e.crdts.tables["notes"].to_json(), cloud_rows);
+        }
+        let final_clock = sys.cloud_crdts.clock();
+        let snapshots = &sys.ha_stats().acked_snapshots;
+        assert!(!snapshots.is_empty());
+        for snap in snapshots {
+            assert!(final_clock.dominates(snap), "acked write lost in restart");
+        }
+        let (_, quiet) = run(Telemetry::disabled());
+        assert_eq!(stats, quiet, "telemetry must not touch RunStats");
     }
 
     /// Forwarded writes replicate to the standby before the client sees
